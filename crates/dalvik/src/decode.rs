@@ -202,10 +202,20 @@ pub fn decode_insn(code: &[u16], pc: usize) -> Result<Decoded> {
     Ok(Decoded::Insn(insn))
 }
 
+/// Checks that a payload of `units` code units starting at `pc` lies inside
+/// `code`, so its element count is safe to preallocate.
+fn payload_fits(code: &[u16], pc: usize, units: usize) -> Result<()> {
+    match pc.checked_add(units) {
+        Some(end) if end <= code.len() => Ok(()),
+        _ => Err(DalvikError::TruncatedInsn { at: pc }),
+    }
+}
+
 fn decode_payload(code: &[u16], pc: usize, ident: u16) -> Result<Decoded> {
     match ident {
         payload::PACKED_SWITCH => {
             let size = usize::from(unit(code, pc + 1, pc)?);
+            payload_fits(code, pc, 4 + size * 2)?;
             let first_key =
                 i32::from(unit(code, pc + 2, pc)?) | (i32::from(unit(code, pc + 3, pc)?) << 16);
             let mut targets = Vec::with_capacity(size);
@@ -218,6 +228,7 @@ fn decode_payload(code: &[u16], pc: usize, ident: u16) -> Result<Decoded> {
         }
         payload::SPARSE_SWITCH => {
             let size = usize::from(unit(code, pc + 1, pc)?);
+            payload_fits(code, pc, 2 + size * 4)?;
             let mut keys = Vec::with_capacity(size);
             let mut targets = Vec::with_capacity(size);
             for i in 0..size {
@@ -239,6 +250,7 @@ fn decode_payload(code: &[u16], pc: usize, ident: u16) -> Result<Decoded> {
                 u32::from(unit(code, pc + 2, pc)?) | (u32::from(unit(code, pc + 3, pc)?) << 16);
             let byte_len = element_width as usize * size as usize;
             let unit_len = byte_len.div_ceil(2);
+            payload_fits(code, pc, 4 + unit_len)?;
             let mut data = Vec::with_capacity(byte_len);
             for i in 0..unit_len {
                 let w = unit(code, pc + 4 + i, pc)?;
@@ -433,6 +445,25 @@ pub fn predecode(code: &[u16]) -> Result<PredecodedMethod> {
 mod tests {
     use super::*;
     use crate::encode::encode_insn;
+
+    #[test]
+    fn payload_counts_are_checked_before_allocating() {
+        // Each header claims far more elements than the four units behind
+        // it; none may reserve memory for them.
+        for code in [
+            [payload::PACKED_SWITCH, 0xffff, 0, 0],
+            [payload::SPARSE_SWITCH, 0xffff, 0, 0],
+            [payload::FILL_ARRAY_DATA, 0xffff, 0xffff, 0xffff],
+        ] {
+            assert!(
+                matches!(
+                    decode_insn(&code, 0),
+                    Err(DalvikError::TruncatedInsn { at: 0 })
+                ),
+                "{code:04x?}"
+            );
+        }
+    }
 
     #[test]
     fn decode_return_void() {

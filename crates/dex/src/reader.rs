@@ -31,6 +31,27 @@ impl<'a> In<'a> {
     }
 }
 
+/// Checks that a table of `count` items, each at least `stride` bytes,
+/// starting at `off` fits inside `buf`, and returns `count`. Every count
+/// read from the input goes through here before it sizes an allocation, so
+/// a forged header count fails as [`DexError::Truncated`] instead of
+/// reserving memory the input cannot back.
+pub(crate) fn table_len(
+    buf: &[u8],
+    off: usize,
+    count: usize,
+    stride: usize,
+    what: &'static str,
+) -> Result<usize> {
+    let end = count
+        .checked_mul(stride)
+        .and_then(|len| off.checked_add(len));
+    match end {
+        Some(end) if count == 0 || end <= buf.len() => Ok(count),
+        _ => Err(DexError::Truncated { offset: off, what }),
+    }
+}
+
 fn read_string_data(input: &In<'_>, off: usize) -> Result<String> {
     let mut pos = off;
     let _utf16_len = leb128::read_uleb128(input.buf, &mut pos)?;
@@ -51,6 +72,7 @@ fn read_type_list(input: &In<'_>, off: u32) -> Result<Vec<u32>> {
     }
     let off = off as usize;
     let size = input.u32_at(off)? as usize;
+    let size = table_len(input.buf, off + 4, size, 2, "type_list")?;
     let mut list = Vec::with_capacity(size);
     for i in 0..size {
         list.push(u32::from(input.u16_at(off + 4 + i * 2)?));
@@ -65,6 +87,7 @@ fn read_code_item(input: &In<'_>, off: usize) -> Result<CodeItem> {
     let tries_size = input.u16_at(off + 6)? as usize;
     let insns_size = input.u32_at(off + 12)? as usize;
     let insns_off = off + 16;
+    let insns_size = table_len(input.buf, insns_off, insns_size, 2, "code_item insns")?;
     let mut insns = Vec::with_capacity(insns_size);
     for i in 0..insns_size {
         insns.push(input.u16_at(insns_off + i * 2)?);
@@ -212,18 +235,19 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
         return Err(DexError::BadEndianTag(endian));
     }
 
-    let string_ids_size = input.u32_at(56)? as usize;
-    let string_ids_off = input.u32_at(60)? as usize;
-    let type_ids_size = input.u32_at(64)? as usize;
-    let type_ids_off = input.u32_at(68)? as usize;
-    let proto_ids_size = input.u32_at(72)? as usize;
-    let proto_ids_off = input.u32_at(76)? as usize;
-    let field_ids_size = input.u32_at(80)? as usize;
-    let field_ids_off = input.u32_at(84)? as usize;
-    let method_ids_size = input.u32_at(88)? as usize;
-    let method_ids_off = input.u32_at(92)? as usize;
-    let class_defs_size = input.u32_at(96)? as usize;
-    let class_defs_off = input.u32_at(100)? as usize;
+    // Each id table as (size, offset), its size checked against the bytes
+    // the table would occupy.
+    let table = |at: usize, stride: usize, what: &'static str| -> Result<(usize, usize)> {
+        let size = input.u32_at(at)? as usize;
+        let off = input.u32_at(at + 4)? as usize;
+        Ok((table_len(bytes, off, size, stride, what)?, off))
+    };
+    let (string_ids_size, string_ids_off) = table(56, 4, "string_ids")?;
+    let (type_ids_size, type_ids_off) = table(64, 4, "type_ids")?;
+    let (proto_ids_size, proto_ids_off) = table(72, 12, "proto_ids")?;
+    let (field_ids_size, field_ids_off) = table(80, 8, "field_ids")?;
+    let (method_ids_size, method_ids_off) = table(88, 8, "method_ids")?;
+    let (class_defs_size, class_defs_off) = table(96, 32, "class_defs")?;
 
     let mut strings = Vec::with_capacity(string_ids_size);
     for i in 0..string_ids_size {
@@ -294,8 +318,10 @@ pub fn read_dex_unchecked(bytes: &[u8]) -> Result<DexFile> {
             Vec::new()
         } else {
             let mut pos = static_values_off;
-            let n = leb128::read_uleb128(bytes, &mut pos)?;
-            let mut values = Vec::with_capacity(n as usize);
+            let n = leb128::read_uleb128(bytes, &mut pos)? as usize;
+            // Every encoded value is at least one byte.
+            let n = table_len(bytes, pos, n, 1, "static_values")?;
+            let mut values = Vec::with_capacity(n);
             for _ in 0..n {
                 values.push(EncodedValue::read(bytes, &mut pos)?);
             }
@@ -353,6 +379,57 @@ mod tests {
         });
         dex.add_class(def);
         dex
+    }
+
+    /// A bare 112-byte header with a valid magic, endian tag, adler32 and
+    /// SHA-1, whose id-table size at header offset `field` is `size`.
+    fn forged_header(field: usize, size: u32) -> Vec<u8> {
+        let mut bytes = vec![0u8; HEADER_SIZE as usize];
+        bytes[..8].copy_from_slice(&DEX_MAGIC);
+        bytes[32..36].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // file_size
+        bytes[36..40].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // header_size
+        bytes[40..44].copy_from_slice(&ENDIAN_CONSTANT.to_le_bytes());
+        bytes[field..field + 4].copy_from_slice(&size.to_le_bytes());
+        bytes[field + 4..field + 8].copy_from_slice(&HEADER_SIZE.to_le_bytes());
+        let signature = checksum::sha1(&bytes[32..]);
+        bytes[12..32].copy_from_slice(&signature);
+        let sum = checksum::adler32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn forged_table_sizes_are_refused_before_allocating() {
+        // string_ids, type_ids, proto_ids, field_ids, method_ids, class_defs.
+        for field in [56, 64, 72, 80, 88, 96] {
+            let probe = forged_header(field, u32::MAX);
+            assert_eq!(probe.len(), 112);
+            for result in [read_dex(&probe), read_dex_unchecked(&probe)] {
+                assert!(
+                    matches!(result, Err(DexError::Truncated { .. })),
+                    "size at {field}: {result:?}"
+                );
+            }
+        }
+        // An honest empty header still parses.
+        assert!(read_dex(&forged_header(56, 0)).is_ok());
+    }
+
+    #[test]
+    fn forged_code_item_length_is_refused_before_allocating() {
+        let mut bytes = write_dex(&sample_dex()).unwrap();
+        // The sample's only code item: 3 registers, 1 in, 1 out, no tries,
+        // no debug info, one unit (return-void).
+        let item = [3, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0x0e, 0];
+        let at = bytes
+            .windows(item.len())
+            .position(|w| w == item)
+            .expect("code item present");
+        bytes[at + 12..at + 16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            read_dex_unchecked(&bytes),
+            Err(DexError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -216,8 +216,10 @@ impl EncodedValue {
             VALUE_METHOD => EncodedValue::Method(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_ENUM => EncodedValue::Enum(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_ARRAY => {
-                let n = crate::leb128::read_uleb128(buf, pos)?;
-                let mut items = Vec::with_capacity(n as usize);
+                let n = crate::leb128::read_uleb128(buf, pos)? as usize;
+                // Every encoded value is at least one byte.
+                let n = crate::reader::table_len(buf, *pos, n, 1, "encoded_array")?;
+                let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(EncodedValue::read(buf, pos)?);
                 }

@@ -3,9 +3,12 @@
 //! Every [`crate::pipeline::reveal`] produces a [`PipelineMetrics`] inside
 //! its [`crate::pipeline::RevealOutcome`]: named phase timings (collect,
 //! serialize, tree-merge, dexgen, canonicalize, verify, validate) plus
-//! counters (collected methods/classes/instructions, emitted guards,
-//! verifier lints). The batch harness serialises these into its per-job JSON
-//! report so corpus runs expose where pipeline time goes without a profiler.
+//! counters (collected methods and instructions, dump size, verifier lints,
+//! typed-IR size, verify-cache hits and misses). Counters are carried
+//! generically from here to the wire: the batch harness copies every one
+//! into its per-job report, the result store keeps them in a key/value
+//! section, and `dexlegod` sums them into its `stats` reply, so recording a
+//! new counter here is the only edit it needs.
 
 use std::time::Instant;
 

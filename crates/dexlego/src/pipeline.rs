@@ -27,16 +27,13 @@ pub struct RevealOutcome {
     /// Warning-severity verifier lints over the reassembled DEX
     /// (error-severity diagnostics abort the pipeline instead).
     pub lints: Vec<dexlego_verifier::Diagnostic>,
-    /// Method bodies for which the verifier materialized typed IR.
-    pub typed_methods: usize,
-    /// Instructions across all typed-IR methods.
-    pub typed_insns: u64,
     /// [`validate_reveal`] findings over the outcome (empty = every
     /// collected method and instruction made it into the reassembled DEX).
     /// Computed as part of the pipeline so callers cannot forget the check.
     pub validation: Vec<String>,
     /// Per-phase timings and counters recorded while producing this
-    /// outcome.
+    /// outcome. Every counter here reaches the job report, the store
+    /// payload and the service's `stats` as-is.
     pub metrics: PipelineMetrics,
 }
 
@@ -187,10 +184,10 @@ fn finish(
 }
 
 fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<RevealOutcome> {
-    metrics.count("classes_collected", files.classes.len() as u64);
     metrics.count("methods_collected", files.methods.len() as u64);
     metrics.count("insns_collected", files.total_insns() as u64);
     let dump_size = metrics.time("serialize", || files.to_bytes().len());
+    metrics.count("dump_size", dump_size as u64);
     // `reassemble_with_metrics` records the `tree_merge` and `dexgen`
     // phases itself.
     let dex = reassemble_with_metrics(&files, &mut metrics)?;
@@ -215,14 +212,11 @@ fn finish_files(files: CollectionFiles, mut metrics: PipelineMetrics) -> Result<
     metrics.count("verifier_lints", lints.len() as u64);
     metrics.count("typed_methods", typed_methods as u64);
     metrics.count("typed_insns", typed_insns);
-    metrics.count("validation_findings", validation.len() as u64);
     Ok(RevealOutcome {
         files,
         dex,
         dump_size,
         lints,
-        typed_methods,
-        typed_insns,
         validation,
         metrics,
     })

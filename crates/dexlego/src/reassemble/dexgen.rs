@@ -31,11 +31,6 @@ impl GuardAlloc {
         dex.intern_field(INSTRUMENT_CLASS, "Z", &name)
     }
 
-    /// Number of guard fields allocated so far.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
     /// Emits the instrument class definition holding every allocated guard
     /// field, initialised with deterministic pseudo-random booleans (the
     /// paper initialises them "with random values"; determinism keeps the
@@ -96,8 +91,7 @@ pub fn reassemble(files: &CollectionFiles) -> Result<DexFile> {
 
 /// [`reassemble`] with instrumentation: records the time spent merging
 /// collection trees (`tree_merge`) separately from the rest of DEX
-/// assembly (`dexgen`), plus counters for merged trees and allocated guard
-/// fields, into `metrics`.
+/// assembly (`dexgen`) into `metrics`.
 ///
 /// # Errors
 ///
@@ -108,7 +102,6 @@ pub fn reassemble_with_metrics(
 ) -> Result<DexFile> {
     let total_start = std::time::Instant::now();
     let mut merge_time = std::time::Duration::ZERO;
-    let mut trees_merged = 0u64;
     let mut dex = DexFile::new();
     let mut guards = GuardAlloc::default();
 
@@ -220,7 +213,6 @@ pub fn reassemble_with_metrics(
                     },
                 )?;
                 merge_time += merge_start.elapsed();
-                trees_merged += 1;
                 if !bodies.iter().any(|b| b.insns == body.insns) {
                     bodies.push(body);
                 }
@@ -293,8 +285,6 @@ pub fn reassemble_with_metrics(
         "dexgen",
         (total_start.elapsed().as_micros() as u64).saturating_sub(merge_us),
     );
-    metrics.count("trees_merged", trees_merged);
-    metrics.count("guard_fields", u64::from(guards.count()));
     Ok(dex)
 }
 

@@ -85,7 +85,10 @@ fn clean_collection_reports_no_findings_and_phase_timings() {
     );
     assert!(outcome.metrics.counter("methods_collected").unwrap() >= 2);
     assert!(outcome.metrics.counter("insns_collected").unwrap() > 0);
-    assert_eq!(outcome.metrics.counter("validation_findings"), Some(0));
+    assert_eq!(
+        outcome.metrics.counter("dump_size"),
+        Some(outcome.dump_size as u64)
+    );
 }
 
 #[test]

@@ -54,43 +54,21 @@ pub fn to_cached(report: &JobReport, dex_bytes: &[u8]) -> CachedResult {
         dex_bytes: dex_bytes.to_vec(),
         wall_us: report.wall_us,
         insns: report.insns,
-        frames: report.frames,
-        quickens: report.quickens,
-        dequickens: report.dequickens,
-        superinsn_hits: report.superinsn_hits,
-        methods_collected: report.methods_collected as u64,
-        insns_collected: report.insns_collected,
-        dump_size: report.dump_size as u64,
-        verifier_lints: report.verifier_lints as u64,
-        typed_methods: report.typed_methods as u64,
-        typed_insns: report.typed_insns,
-        verify_cache_hits: report.verify_cache_hits,
-        verify_cache_misses: report.verify_cache_misses,
+        counters: report.counters.clone(),
         validation: Vec::new(), // a cached job passed validation
         phases_us: report.phases_us.clone(),
     }
 }
 
-/// Reconstructs a job report from a cache hit. Collection counters and
-/// phase timings describe the original extraction; `wall_us` is the
-/// lookup time and [`JobReport::cached`] is set.
+/// Reconstructs a job report from a cache hit. Counters and phase timings
+/// describe the original extraction; `wall_us` is the lookup time and
+/// [`JobReport::cached`] is set.
 pub fn from_cached(name: &str, packer: Option<&'static str>, hit: &CachedResult) -> JobReport {
     JobReport {
         status: JobStatus::Ok,
         cached: true,
         insns: hit.insns,
-        frames: hit.frames,
-        quickens: hit.quickens,
-        dequickens: hit.dequickens,
-        superinsn_hits: hit.superinsn_hits,
-        methods_collected: hit.methods_collected as usize,
-        insns_collected: hit.insns_collected,
-        dump_size: hit.dump_size as usize,
-        verifier_lints: hit.verifier_lints as usize,
-        typed_methods: hit.typed_methods as usize,
-        typed_insns: hit.typed_insns,
-        verify_cache_hits: hit.verify_cache_hits,
-        verify_cache_misses: hit.verify_cache_misses,
+        counters: hit.counters.clone(),
         phases_us: hit.phases_us.clone(),
         ..JobReport::empty(name.to_owned(), packer)
     }
@@ -187,37 +165,45 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_cache_entry() {
-        let report = JobReport {
+        let mut report = JobReport {
             wall_us: 900,
             insns: 11,
-            frames: 2,
-            quickens: 4,
-            dequickens: 1,
-            superinsn_hits: 5,
-            methods_collected: 3,
-            insns_collected: 40,
-            dump_size: 512,
-            verifier_lints: 1,
-            typed_methods: 2,
-            typed_insns: 33,
-            verify_cache_hits: 6,
-            verify_cache_misses: 3,
             phases_us: vec![("collect".to_owned(), 7)],
             ..JobReport::empty("j".to_owned(), Some("360"))
         };
+        for (name, n) in [
+            ("frames", 2),
+            ("quickens", 4),
+            ("dequickens", 1),
+            ("superinsn_hits", 5),
+            ("methods_collected", 3),
+            ("insns_collected", 40),
+            ("dump_size", 512),
+            ("verifier_lints", 1),
+            ("typed_methods", 2),
+            ("typed_insns", 33),
+            ("verify_cache_hits", 6),
+            ("verify_cache_misses", 3),
+        ] {
+            report.count(name, n);
+        }
         let entry = to_cached(&report, &[1, 2, 3]);
         let back = from_cached("j", Some("360"), &entry);
         assert!(back.cached);
         assert!(back.status.is_ok());
         assert_eq!(back.insns, report.insns);
-        assert_eq!(back.quickens, report.quickens);
-        assert_eq!(back.dequickens, report.dequickens);
-        assert_eq!(back.superinsn_hits, report.superinsn_hits);
-        assert_eq!(back.methods_collected, report.methods_collected);
-        assert_eq!(back.typed_methods, report.typed_methods);
-        assert_eq!(back.typed_insns, report.typed_insns);
-        assert_eq!(back.verify_cache_hits, report.verify_cache_hits);
-        assert_eq!(back.verify_cache_misses, report.verify_cache_misses);
+        for name in [
+            "quickens",
+            "dequickens",
+            "superinsn_hits",
+            "methods_collected",
+            "typed_methods",
+            "typed_insns",
+            "verify_cache_hits",
+            "verify_cache_misses",
+        ] {
+            assert_eq!(back.counter(name), report.counter(name), "{name}");
+        }
         assert_eq!(back.phases_us, report.phases_us);
         assert_eq!(entry.dex_bytes, vec![1, 2, 3]);
     }

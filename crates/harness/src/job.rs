@@ -335,12 +335,17 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
 
     let mut report = JobReport {
         insns: rt.stats.insns,
-        frames: rt.stats.frames,
-        quickens: rt.stats.quickens,
-        dequickens: rt.stats.dequickens,
-        superinsn_hits: rt.stats.superinsn_hits,
         ..JobReport::empty(name, packer_name)
     };
+    for (counter, n) in [
+        ("frames", rt.stats.frames),
+        ("quickens", rt.stats.quickens),
+        ("dequickens", rt.stats.dequickens),
+        ("superinsn_hits", rt.stats.superinsn_hits),
+    ] {
+        report.count(counter, n);
+    }
+    let mut verifier_errors = 0;
 
     // Status precedence: a setup failure means nothing was really driven; a
     // timeout trumps downstream failures (a truncated collection routinely
@@ -364,7 +369,7 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
             }
             Err(_) if timed_out => JobStatus::Timeout,
             Err(DexLegoError::Verification(diags)) => {
-                report.verifier_errors = diags.len();
+                verifier_errors = diags.len() as u64;
                 JobStatus::VerifierRejected(
                     diags
                         .iter()
@@ -376,6 +381,7 @@ fn run_job(spec: &JobSpec) -> (JobReport, Option<DexFile>) {
             Err(e) => JobStatus::ReassemblyFailed(e.to_string()),
         }
     };
+    report.count("verifier_errors", verifier_errors);
     report.wall_us = start.elapsed().as_micros() as u64;
     (report, revealed)
 }

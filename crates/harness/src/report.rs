@@ -21,43 +21,24 @@ pub struct JobReport {
     /// Terminal status.
     pub status: JobStatus,
     /// Whether this report was served from the content-addressed result
-    /// store instead of a fresh pipeline run (collection counters and phase
-    /// timings then describe the original extraction; `wall_us` is the
-    /// lookup time).
+    /// store instead of a fresh pipeline run (counters and phase timings
+    /// then describe the original extraction; `wall_us` is the lookup
+    /// time).
     pub cached: bool,
     /// Wall-clock time of the whole job, microseconds.
     pub wall_us: u64,
     /// Bytecode instructions interpreted while driving the app.
     pub insns: u64,
-    /// Method frames entered while driving the app.
-    pub frames: u64,
-    /// Instruction cells rewritten to pre-resolved quickened forms.
-    pub quickens: u64,
-    /// Quickened cells discarded by code-epoch invalidation
-    /// (self-modifying code forcing de-quickening).
-    pub dequickens: u64,
-    /// Fused superinstruction dispatches in the interpreter hot loop.
-    pub superinsn_hits: u64,
-    /// Methods with collected trees.
-    pub methods_collected: usize,
-    /// Instructions collected across all trees.
-    pub insns_collected: u64,
-    /// Serialised collection-file size in bytes.
-    pub dump_size: usize,
-    /// Warning-severity verifier lints on the reassembled DEX.
-    pub verifier_lints: usize,
-    /// Error-severity verifier diagnostics (nonzero only when the job was
-    /// rejected by the verification gate).
-    pub verifier_errors: usize,
-    /// Method bodies with typed IR materialized by the verifier.
-    pub typed_methods: usize,
-    /// Instructions across all typed-IR methods.
-    pub typed_insns: u64,
-    /// Method verifications served from the digest-keyed verify cache
-    /// during the pipeline's verification gate.
-    pub verify_cache_hits: u64,
-    /// Method verifications that ran the fixpoint (verify-cache misses).
-    pub verify_cache_misses: u64,
+    /// Work counters in recording order, as (name, value): the
+    /// interpreter's execution statistics, every [`PipelineMetrics`]
+    /// counter, and the verifier errors of a rejected job. A stage the job
+    /// never reached records nothing. Read through [`JobReport::counter`].
+    /// Counters share the flat JSON namespace with the other members here
+    /// and with dexlegod's `stats`, so a counter must not reuse one of
+    /// their names.
+    ///
+    /// [`PipelineMetrics`]: dexlego_core::metrics::PipelineMetrics
+    pub counters: Vec<(String, u64)>,
     /// Per-phase pipeline timings in microseconds, in execution order
     /// (collect, serialize, tree_merge, dexgen, canonicalize, verify,
     /// validate).
@@ -75,39 +56,39 @@ impl JobReport {
             cached: false,
             wall_us: 0,
             insns: 0,
-            frames: 0,
-            quickens: 0,
-            dequickens: 0,
-            superinsn_hits: 0,
-            methods_collected: 0,
-            insns_collected: 0,
-            dump_size: 0,
-            verifier_lints: 0,
-            verifier_errors: 0,
-            typed_methods: 0,
-            typed_insns: 0,
-            verify_cache_hits: 0,
-            verify_cache_misses: 0,
+            counters: Vec::new(),
             phases_us: Vec::new(),
         }
     }
 
-    /// Copies collection counts and phase timings out of a reveal outcome.
+    /// Copies every pipeline counter and phase timing out of a reveal
+    /// outcome.
     pub fn absorb(&mut self, outcome: &RevealOutcome) {
-        self.methods_collected = outcome.files.methods.len();
-        self.insns_collected = outcome.metrics.counter("insns_collected").unwrap_or(0);
-        self.dump_size = outcome.dump_size;
-        self.verifier_lints = outcome.lints.len();
-        self.typed_methods = outcome.typed_methods;
-        self.typed_insns = outcome.typed_insns;
-        self.verify_cache_hits = outcome.metrics.counter("verify_cache_hits").unwrap_or(0);
-        self.verify_cache_misses = outcome.metrics.counter("verify_cache_misses").unwrap_or(0);
+        for &(name, n) in outcome.metrics.counters() {
+            self.count(name, n);
+        }
         self.phases_us = outcome
             .metrics
             .phases()
             .iter()
             .map(|&(name, us)| (name.to_owned(), us))
             .collect();
+    }
+
+    /// Adds `n` to the counter `name` (appended if new).
+    pub fn count(&mut self, name: &str, n: u64) {
+        match self.counters.iter_mut().find(|(c, _)| c == name) {
+            Some((_, total)) => *total += n,
+            None => self.counters.push((name.to_owned(), n)),
+        }
+    }
+
+    /// Value of the counter `name`; zero when it was never recorded.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(c, _)| c == name)
+            .map_or(0, |&(_, n)| n)
     }
 
     /// Whether the job failed.
@@ -127,8 +108,9 @@ impl JobReport {
     /// [`JobReport::to_json`] — the receive side of a report travelling
     /// over the daemon wire protocol (the routing tier rebuilds batch-run
     /// reports from extract replies). Missing numeric members default to
-    /// zero; an unknown packer name degrades to `None` (the display name
-    /// is reporting identity, not pipeline input).
+    /// zero, and every unsigned-integer member other than `wall_us` and
+    /// `insns` is taken as a counter; an unknown packer name degrades to
+    /// `None` (the display name is reporting identity, not pipeline input).
     ///
     /// # Errors
     ///
@@ -159,6 +141,14 @@ impl JobReport {
                 .collect(),
             _ => Vec::new(),
         };
+        let counters = match value {
+            Value::Obj(members) => members
+                .iter()
+                .filter(|(key, _)| key != "wall_us" && key != "insns")
+                .filter_map(|(key, n)| n.as_u64().map(|n| (key.clone(), n)))
+                .collect(),
+            _ => Vec::new(),
+        };
         Ok(JobReport {
             name,
             packer,
@@ -169,19 +159,7 @@ impl JobReport {
                 .unwrap_or(false),
             wall_us: num("wall_us"),
             insns: num("insns"),
-            frames: num("frames"),
-            quickens: num("quickens"),
-            dequickens: num("dequickens"),
-            superinsn_hits: num("superinsn_hits"),
-            methods_collected: num("methods_collected") as usize,
-            insns_collected: num("insns_collected"),
-            dump_size: num("dump_size") as usize,
-            verifier_lints: num("verifier_lints") as usize,
-            verifier_errors: num("verifier_errors") as usize,
-            typed_methods: num("typed_methods") as usize,
-            typed_insns: num("typed_insns"),
-            verify_cache_hits: num("verify_cache_hits"),
-            verify_cache_misses: num("verify_cache_misses"),
+            counters,
             phases_us,
         })
     }
@@ -193,7 +171,7 @@ impl JobReport {
             .iter()
             .map(|(name, us)| (name.as_str(), us.to_string()))
             .collect();
-        json::object(&[
+        let mut members = vec![
             ("name", json::string(&self.name)),
             (
                 "packer",
@@ -209,21 +187,16 @@ impl JobReport {
             ),
             ("wall_us", self.wall_us.to_string()),
             ("insns", self.insns.to_string()),
-            ("frames", self.frames.to_string()),
-            ("quickens", self.quickens.to_string()),
-            ("dequickens", self.dequickens.to_string()),
-            ("superinsn_hits", self.superinsn_hits.to_string()),
-            ("methods_collected", self.methods_collected.to_string()),
-            ("insns_collected", self.insns_collected.to_string()),
-            ("dump_size", self.dump_size.to_string()),
-            ("verifier_lints", self.verifier_lints.to_string()),
-            ("verifier_errors", self.verifier_errors.to_string()),
-            ("typed_methods", self.typed_methods.to_string()),
-            ("typed_insns", self.typed_insns.to_string()),
-            ("verify_cache_hits", self.verify_cache_hits.to_string()),
-            ("verify_cache_misses", self.verify_cache_misses.to_string()),
-            ("phases_us", json::object(&phases)),
-        ])
+        ];
+        // Counters are flat top-level members, as readers have always
+        // found them.
+        members.extend(
+            self.counters
+                .iter()
+                .map(|(name, n)| (name.as_str(), n.to_string())),
+        );
+        members.push(("phases_us", json::object(&phases)));
+        json::object(&members)
     }
 }
 
@@ -359,9 +332,9 @@ mod tests {
             let mut report = sample_report(status);
             report.cached = true;
             report.insns = 12;
-            report.typed_insns = 9;
-            report.verify_cache_hits = 5;
-            report.verify_cache_misses = 2;
+            report.count("typed_insns", 9);
+            report.count("verify_cache_hits", 5);
+            report.count("verify_cache_misses", 2);
             let value = json::parse(&report.to_json()).expect("emitted JSON parses");
             let back = JobReport::from_json(&value).expect("round trip");
             assert_eq!(back.name, report.name);
@@ -371,9 +344,16 @@ mod tests {
             assert_eq!(back.cached, report.cached);
             assert_eq!(back.wall_us, report.wall_us);
             assert_eq!(back.insns, report.insns);
-            assert_eq!(back.typed_insns, report.typed_insns);
-            assert_eq!(back.verify_cache_hits, report.verify_cache_hits);
-            assert_eq!(back.verify_cache_misses, report.verify_cache_misses);
+            assert_eq!(back.counter("typed_insns"), report.counter("typed_insns"));
+            assert_eq!(
+                back.counter("verify_cache_hits"),
+                report.counter("verify_cache_hits")
+            );
+            assert_eq!(
+                back.counter("verify_cache_misses"),
+                report.counter("verify_cache_misses")
+            );
+            assert_eq!(back.counters, report.counters);
             assert_eq!(back.phases_us, report.phases_us);
         }
         let bad = json::parse(r#"{"name": "x", "status": "warped"}"#).unwrap();

@@ -143,7 +143,7 @@ fn ample_fuel_lets_the_same_shape_of_job_succeed() {
     let report = run_batch(vec![good_job("plain")], &HarnessConfig::with_workers(1));
     assert!(report.ok(), "{}", report.summary());
     assert!(report.jobs[0].insns > 0);
-    assert!(report.jobs[0].methods_collected > 0);
+    assert!(report.jobs[0].counter("methods_collected") > 0);
 }
 
 #[test]
@@ -163,9 +163,13 @@ fn corpus_runs_clean_across_every_packer_profile() {
         // Every job carries complete per-phase timings, in pipeline order.
         let recorded: Vec<&str> = job.phases_us.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(recorded, PHASES, "{}: phases {recorded:?}", job.name);
-        assert!(job.methods_collected > 0, "{}: empty collection", job.name);
-        assert!(job.insns_collected > 0, "{}", job.name);
-        assert!(job.dump_size > 0, "{}", job.name);
+        assert!(
+            job.counter("methods_collected") > 0,
+            "{}: empty collection",
+            job.name
+        );
+        assert!(job.counter("insns_collected") > 0, "{}", job.name);
+        assert!(job.counter("dump_size") > 0, "{}", job.name);
     }
     // Packed jobs are labelled with their profile, plain ones are not.
     assert!(report.jobs.iter().any(|j| j.packer == Some("360")));

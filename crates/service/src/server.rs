@@ -154,25 +154,9 @@ struct ServiceStats {
     ///
     /// [`JobStatus::Ok`]: dexlego_harness::JobStatus::Ok
     failed: u64,
-    /// Interpreter cells quickened across all extractions served.
-    quickens: u64,
-    /// Quickened cells de-quickened by code mutation across extractions.
-    dequickens: u64,
-    /// Fused superinstruction dispatches across extractions.
-    superinsn_hits: u64,
-    /// Warning-severity verifier lints across extractions served.
-    verifier_lints: u64,
-    /// Error-severity verifier diagnostics across rejected extractions.
-    verifier_errors: u64,
-    /// Method bodies with typed IR materialized across extractions.
-    typed_methods: u64,
-    /// Instructions across all typed-IR methods, across extractions.
-    typed_insns: u64,
-    /// Method verifications served from the digest-keyed verify cache
-    /// across extractions.
-    verify_cache_hits: u64,
-    /// Method verifications that ran the fixpoint across extractions.
-    verify_cache_misses: u64,
+    /// Every job-report counter, summed over fresh extractions (a store
+    /// hit did none of the work its copied counters describe).
+    counters: BTreeMap<String, u64>,
     /// Per-phase `(count, total_us)` aggregates over fresh extractions.
     phases_us: BTreeMap<String, (u64, u64)>,
 }
@@ -180,19 +164,13 @@ struct ServiceStats {
 impl ServiceStats {
     fn absorb(&mut self, report: &JobReport) {
         self.extracts += 1;
-        self.quickens += report.quickens;
-        self.dequickens += report.dequickens;
-        self.superinsn_hits += report.superinsn_hits;
-        self.verifier_lints += report.verifier_lints as u64;
-        self.verifier_errors += report.verifier_errors as u64;
-        self.typed_methods += report.typed_methods as u64;
-        self.typed_insns += report.typed_insns;
-        self.verify_cache_hits += report.verify_cache_hits;
-        self.verify_cache_misses += report.verify_cache_misses;
         if report.cached {
             self.hits += 1;
         } else {
             self.misses += 1;
+            for (name, n) in &report.counters {
+                *self.counters.entry(name.clone()).or_default() += n;
+            }
             for (phase, us) in &report.phases_us {
                 let slot = self.phases_us.entry(phase.clone()).or_insert((0, 0));
                 slot.0 += 1;
@@ -1176,7 +1154,7 @@ fn stats_reply(shared: &Shared) -> String {
         .iter()
         .map(|(phase, obj)| (phase.as_str(), obj.clone()))
         .collect();
-    let body = json::object(&[
+    let mut members = vec![
         ("requests", stats.requests.to_string()),
         ("extracts", stats.extracts.to_string()),
         ("hits", stats.hits.to_string()),
@@ -1197,18 +1175,18 @@ fn stats_reply(shared: &Shared) -> String {
         ("fetches", stats.fetches.to_string()),
         ("errors", stats.errors.to_string()),
         ("failed", stats.failed.to_string()),
-        ("quickens", stats.quickens.to_string()),
-        ("dequickens", stats.dequickens.to_string()),
-        ("superinsn_hits", stats.superinsn_hits.to_string()),
-        ("verifier_lints", stats.verifier_lints.to_string()),
-        ("verifier_errors", stats.verifier_errors.to_string()),
-        ("typed_methods", stats.typed_methods.to_string()),
-        ("typed_insns", stats.typed_insns.to_string()),
-        ("verify_cache_hits", stats.verify_cache_hits.to_string()),
-        ("verify_cache_misses", stats.verify_cache_misses.to_string()),
+    ];
+    members.extend(
+        stats
+            .counters
+            .iter()
+            .map(|(name, n)| (name.as_str(), n.to_string())),
+    );
+    members.extend([
         ("in_flight", shared.pool.in_flight().to_string()),
         ("store", store_json),
         ("phases_us", json::object(&phase_members)),
     ]);
+    let body = json::object(&members);
     json::object(&[("status", json::string("ok")), ("stats", body)])
 }

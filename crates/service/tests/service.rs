@@ -50,9 +50,29 @@ fn identical_requests_hit_the_cache_and_corruption_reextracts() {
     let req = sample_request(60);
 
     // Cold: runs the pipeline.
-    let (cold_cached, cold_dex) = extract_done(&mut client, &req);
+    let ExtractReply::Done {
+        cached: cold_cached,
+        dex: cold_dex,
+        report: cold_report,
+    } = client.extract(&req).expect("extract round-trip")
+    else {
+        panic!("cold extract did not complete");
+    };
     assert!(!cold_cached, "first request cannot be a cache hit");
     assert!(!cold_dex.is_empty(), "revealed DEX is non-empty");
+    let cold_counters = JobReport::from_json(&cold_report)
+        .expect("report parses")
+        .counters;
+    assert!(
+        cold_counters
+            .iter()
+            .any(|(name, _)| name == "verify_cache_misses"),
+        "a pipeline run reports its verify-cache counters: {cold_counters:?}"
+    );
+    let cold_stats = client.stats().expect("stats after the cold run");
+    for (name, n) in &cold_counters {
+        assert_eq!(stat_u64(&cold_stats, name), *n, "stats sums {name}");
+    }
 
     // Warm: byte-identical, served from the store, no new pipeline run.
     let (warm_cached, warm_dex) = extract_done(&mut client, &req);
@@ -60,6 +80,14 @@ fn identical_requests_hit_the_cache_and_corruption_reextracts() {
     assert_eq!(warm_dex, cold_dex, "cache hit is byte-identical");
 
     let stats = client.stats().expect("stats");
+    // The hit did none of the work its copied counters describe.
+    for (name, _) in &cold_counters {
+        assert_eq!(
+            stat_u64(&stats, name),
+            stat_u64(&cold_stats, name),
+            "a store hit moved the {name} work counter"
+        );
+    }
     assert_eq!(stat_u64(&stats, "hits"), 1);
     assert_eq!(stat_u64(&stats, "misses"), 1);
     assert_eq!(stat_u64(&stats, "extracts"), 2);
@@ -177,5 +205,43 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
     assert_eq!(stat_u64(&stats, "in_flight"), 0, "pool drained");
 
     control.shutdown().expect("graceful shutdown");
+    daemon.wait();
+}
+
+/// A 112-byte DEX header with a valid magic, endian tag, adler32 and SHA-1
+/// that claims four billion strings.
+fn forged_string_count_probe() -> Vec<u8> {
+    use dexlego_dex::{checksum, DEX_MAGIC, ENDIAN_CONSTANT, HEADER_SIZE};
+    let mut bytes = vec![0u8; HEADER_SIZE as usize];
+    bytes[..8].copy_from_slice(&DEX_MAGIC);
+    bytes[32..36].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // file_size
+    bytes[36..40].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // header_size
+    bytes[40..44].copy_from_slice(&ENDIAN_CONSTANT.to_le_bytes());
+    bytes[56..60].copy_from_slice(&u32::MAX.to_le_bytes()); // string_ids_size
+    bytes[60..64].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // string_ids_off
+    let signature = checksum::sha1(&bytes[32..]);
+    bytes[12..32].copy_from_slice(&signature);
+    let sum = checksum::adler32(&bytes[12..]);
+    bytes[8..12].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn forged_header_count_gets_an_error_reply_and_the_daemon_lives() {
+    let dir = TempDir::new("service-probe").unwrap();
+    let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
+    let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
+
+    let probe = forged_string_count_probe();
+    assert_eq!(probe.len(), 112);
+    let req = ExtractRequest::new(probe, "LMain;");
+    client.send_line(&req.encode()).unwrap();
+    match client.recv().expect("a reply to the probe") {
+        dexlego_service::Reply::Error(_) => {}
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    client.ping().expect("daemon still answers after the probe");
+
+    client.shutdown().expect("graceful shutdown acknowledged");
     daemon.wait();
 }

@@ -3,10 +3,11 @@
 //! The payload format is a simple length-prefixed binary encoding (the
 //! workspace is dependency-free, so there is no serde): little-endian
 //! integers, `u32` length prefixes, UTF-8 strings. A leading format tag
-//! (`RES4`; `RES3` lacked the verify-cache counters, `RES2` the
-//! typed-verifier counters, `RES1` the quickening counters — all decode as
-//! a miss) versions the payload independently of the on-disk container
-//! that wraps it (see [`crate::store`]).
+//! (`RES5`) versions the payload independently of the on-disk container
+//! that wraps it (see [`crate::store`]). Work counters travel in a
+//! self-describing name/value section, so a new counter does not change
+//! the format; the fixed-field tags before it (`RES1`–`RES4`) decode as a
+//! miss.
 
 /// Everything the pipeline produced for one (DEX, profile, parameters)
 /// input: the revealed DEX plus the report fields a cache hit must be able
@@ -19,49 +20,35 @@ pub struct CachedResult {
     pub wall_us: u64,
     /// Instructions interpreted while driving the app.
     pub insns: u64,
-    /// Method frames entered while driving the app.
-    pub frames: u64,
-    /// Instruction cells rewritten to pre-resolved quickened forms.
-    pub quickens: u64,
-    /// Quickened cells discarded by code-epoch invalidation.
-    pub dequickens: u64,
-    /// Fused superinstruction dispatches in the interpreter hot loop.
-    pub superinsn_hits: u64,
-    /// Methods with collected trees.
-    pub methods_collected: u64,
-    /// Instructions collected across all trees.
-    pub insns_collected: u64,
-    /// Serialised collection-file size in bytes.
-    pub dump_size: u64,
-    /// Warning-severity verifier lints on the reassembled DEX.
-    pub verifier_lints: u64,
-    /// Method bodies with typed IR materialized by the verifier.
-    pub typed_methods: u64,
-    /// Instructions across all typed-IR methods.
-    pub typed_insns: u64,
-    /// Method verifications served from the digest-keyed verify cache.
-    pub verify_cache_hits: u64,
-    /// Method verifications that ran the fixpoint (verify-cache misses).
-    pub verify_cache_misses: u64,
+    /// The job report's work counters, as (name, value) in recording order.
+    pub counters: Vec<(String, u64)>,
     /// `validate_reveal` findings (empty = validated).
     pub validation: Vec<String>,
     /// Per-phase pipeline timings in microseconds, execution order.
     pub phases_us: Vec<(String, u64)>,
 }
 
-const PAYLOAD_TAG: &[u8; 4] = b"RES4";
+const PAYLOAD_TAG: &[u8; 4] = b"RES5";
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Smallest encoding of one (name, value) pair: an empty name's length
+/// prefix plus the value.
+const MIN_PAIR_BYTES: usize = 4 + 8;
+
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
 }
 
 fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+    put_u32(out, v.len());
     out.extend_from_slice(v);
 }
 
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(String, u64)]) {
+    put_u32(out, pairs.len());
+    for (name, v) in pairs {
+        put_bytes(out, name.as_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 struct Cursor<'a> {
@@ -101,6 +88,27 @@ impl<'a> Cursor<'a> {
     fn string(&mut self) -> Result<String, String> {
         String::from_utf8(self.bytes()?).map_err(|_| "invalid UTF-8 in payload".to_owned())
     }
+
+    /// A count of items at least `min_bytes` long each, rejected if that
+    /// many could not fit in what is left — so the count is safe to
+    /// preallocate.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.data.len() - self.pos {
+            return Err(format!("count {n} overruns payload at offset {}", self.pos));
+        }
+        Ok(n)
+    }
+
+    fn pairs(&mut self) -> Result<Vec<(String, u64)>, String> {
+        let n = self.count(MIN_PAIR_BYTES)?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = self.string()?;
+            pairs.push((name, self.u64()?));
+        }
+        Ok(pairs)
+    }
 }
 
 /// Serialises a result into the versioned payload format.
@@ -108,33 +116,14 @@ pub fn encode(r: &CachedResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(r.dex_bytes.len() + 128);
     out.extend_from_slice(PAYLOAD_TAG);
     put_bytes(&mut out, &r.dex_bytes);
-    for v in [
-        r.wall_us,
-        r.insns,
-        r.frames,
-        r.quickens,
-        r.dequickens,
-        r.superinsn_hits,
-        r.methods_collected,
-        r.insns_collected,
-        r.dump_size,
-        r.verifier_lints,
-        r.typed_methods,
-        r.typed_insns,
-        r.verify_cache_hits,
-        r.verify_cache_misses,
-    ] {
-        put_u64(&mut out, v);
-    }
-    out.extend_from_slice(&(r.validation.len() as u32).to_le_bytes());
+    out.extend_from_slice(&r.wall_us.to_le_bytes());
+    out.extend_from_slice(&r.insns.to_le_bytes());
+    put_pairs(&mut out, &r.counters);
+    put_u32(&mut out, r.validation.len());
     for finding in &r.validation {
-        put_str(&mut out, finding);
+        put_bytes(&mut out, finding.as_bytes());
     }
-    out.extend_from_slice(&(r.phases_us.len() as u32).to_le_bytes());
-    for (phase, us) in &r.phases_us {
-        put_str(&mut out, phase);
-        put_u64(&mut out, *us);
-    }
+    put_pairs(&mut out, &r.phases_us);
     out
 }
 
@@ -142,9 +131,9 @@ pub fn encode(r: &CachedResult) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any structural violation (wrong tag, truncation, bad UTF-8) is an error;
-/// the store treats a decode error like a checksum mismatch and quarantines
-/// the entry.
+/// Any structural violation (wrong tag, truncation, a count larger than
+/// the bytes left, bad UTF-8, trailing bytes) is an error; the store treats
+/// a decode error like a checksum mismatch and quarantines the entry.
 pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
     let mut c = Cursor { data, pos: 0 };
     if c.take(4)? != PAYLOAD_TAG {
@@ -153,30 +142,13 @@ pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
     let dex_bytes = c.bytes()?;
     let wall_us = c.u64()?;
     let insns = c.u64()?;
-    let frames = c.u64()?;
-    let quickens = c.u64()?;
-    let dequickens = c.u64()?;
-    let superinsn_hits = c.u64()?;
-    let methods_collected = c.u64()?;
-    let insns_collected = c.u64()?;
-    let dump_size = c.u64()?;
-    let verifier_lints = c.u64()?;
-    let typed_methods = c.u64()?;
-    let typed_insns = c.u64()?;
-    let verify_cache_hits = c.u64()?;
-    let verify_cache_misses = c.u64()?;
-    let n_validation = c.u32()? as usize;
-    let mut validation = Vec::with_capacity(n_validation.min(1024));
+    let counters = c.pairs()?;
+    let n_validation = c.count(4)?;
+    let mut validation = Vec::with_capacity(n_validation);
     for _ in 0..n_validation {
         validation.push(c.string()?);
     }
-    let n_phases = c.u32()? as usize;
-    let mut phases_us = Vec::with_capacity(n_phases.min(1024));
-    for _ in 0..n_phases {
-        let phase = c.string()?;
-        let us = c.u64()?;
-        phases_us.push((phase, us));
-    }
+    let phases_us = c.pairs()?;
     if c.pos != data.len() {
         return Err(format!("{} trailing bytes in payload", data.len() - c.pos));
     }
@@ -184,18 +156,7 @@ pub fn decode(data: &[u8]) -> Result<CachedResult, String> {
         dex_bytes,
         wall_us,
         insns,
-        frames,
-        quickens,
-        dequickens,
-        superinsn_hits,
-        methods_collected,
-        insns_collected,
-        dump_size,
-        verifier_lints,
-        typed_methods,
-        typed_insns,
-        verify_cache_hits,
-        verify_cache_misses,
+        counters,
         validation,
         phases_us,
     })
@@ -206,24 +167,29 @@ mod tests {
     use super::*;
 
     fn sample() -> CachedResult {
+        let pairs = |list: &[(&str, u64)]| -> Vec<(String, u64)> {
+            list.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        };
         CachedResult {
             dex_bytes: vec![0x64, 0x65, 0x78, 0x0a, 0x00, 0xff],
             wall_us: 1234,
             insns: 5678,
-            frames: 9,
-            quickens: 21,
-            dequickens: 2,
-            superinsn_hits: 333,
-            methods_collected: 3,
-            insns_collected: 400,
-            dump_size: 2048,
-            verifier_lints: 1,
-            typed_methods: 4,
-            typed_insns: 77,
-            verify_cache_hits: 12,
-            verify_cache_misses: 4,
+            counters: pairs(&[
+                ("frames", 9),
+                ("quickens", 21),
+                ("dequickens", 2),
+                ("superinsn_hits", 333),
+                ("methods_collected", 3),
+                ("insns_collected", 400),
+                ("dump_size", 2048),
+                ("verifier_lints", 1),
+                ("typed_methods", 4),
+                ("typed_insns", 77),
+                ("verify_cache_hits", 12),
+                ("verify_cache_misses", 4),
+            ]),
             validation: vec!["m1: missing".to_owned(), "m2: odd".to_owned()],
-            phases_us: vec![("collect".to_owned(), 42), ("verify".to_owned(), 7)],
+            phases_us: pairs(&[("collect", 42), ("verify", 7)]),
         }
     }
 
@@ -244,8 +210,27 @@ mod tests {
         let mut bad = full.clone();
         bad[0] ^= 0xff;
         assert!(decode(&bad).is_err());
-        let mut trailing = full;
+        let mut trailing = full.clone();
         trailing.push(0);
         assert!(decode(&trailing).is_err());
+
+        // A payload written under the previous fixed-field format is a
+        // miss, not a misread.
+        let mut res4 = full.clone();
+        res4[..4].copy_from_slice(b"RES4");
+        assert!(decode(&res4).is_err());
+
+        // A counter-section count far beyond the bytes left is refused
+        // before anything is allocated for it.
+        let empty = encode(&CachedResult::default());
+        let at = 4 + 4 + 8 + 8; // tag, empty dex, wall_us, insns
+        let mut huge = empty.clone();
+        huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&huge).unwrap_err().contains("overruns"));
+        // One pair more than the remaining bytes can hold, likewise.
+        let left = empty.len() - at - 4;
+        let mut over = empty;
+        over[at..at + 4].copy_from_slice(&((left / MIN_PAIR_BYTES + 1) as u32).to_le_bytes());
+        assert!(decode(&over).unwrap_err().contains("overruns"));
     }
 }

@@ -11,6 +11,10 @@ set -eu
 cd "$(dirname "$0")"
 
 cargo build --release --workspace
+# The end-to-end benchmark (perfbench/) is its own workspace built against these
+# crates by path; building it here makes an API change that breaks it fail
+# this script, not only the benchmark pipeline.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
@@ -46,6 +50,9 @@ cargo run -p dexlego-bench --bin taint_gate --release
 # Service smoke: start dexlegod on an ephemeral port, submit the same
 # extraction twice (the smoke client asserts the second is a cache hit
 # with byte-identical DEX), then drain gracefully and check exit 0.
+# Each address poll below tolerates an output file the just-forked
+# process has not created yet; the poll still fails after 10 s without an
+# address.
 service_dir="target/verify-dexlegod"
 rm -rf "$service_dir"
 mkdir -p "$service_dir"
@@ -55,7 +62,7 @@ daemon_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-    addr=$(sed -n 's/^dexlegod: listening on //p' "$service_dir/daemon.out")
+    addr=$(sed -n 's/^dexlegod: listening on //p' "$service_dir/daemon.out" 2>/dev/null || true)
     [ -n "$addr" ] && break
     if ! kill -0 "$daemon_pid" 2>/dev/null; then
         echo "verify: dexlegod died before listening" >&2
@@ -106,7 +113,7 @@ for shard in 0 1 2; do
     shard_addr=""
     i=0
     while [ $i -lt 100 ]; do
-        shard_addr=$(sed -n 's/^dexlegod: listening on //p' "$fleet_dir/shard$shard.out")
+        shard_addr=$(sed -n 's/^dexlegod: listening on //p' "$fleet_dir/shard$shard.out" 2>/dev/null || true)
         [ -n "$shard_addr" ] && break
         i=$((i + 1))
         sleep 0.1
@@ -125,7 +132,7 @@ router_pid=$!
 router_addr=""
 i=0
 while [ $i -lt 100 ]; do
-    router_addr=$(sed -n 's/^dexlego-router: listening on //p' "$fleet_dir/router.out")
+    router_addr=$(sed -n 's/^dexlego-router: listening on //p' "$fleet_dir/router.out" 2>/dev/null || true)
     [ -n "$router_addr" ] && break
     i=$((i + 1))
     sleep 0.1
