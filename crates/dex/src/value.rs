@@ -68,6 +68,11 @@ const VALUE_ARRAY: u8 = 0x1c;
 const VALUE_NULL: u8 = 0x1e;
 const VALUE_BOOLEAN: u8 = 0x1f;
 
+/// The deepest `encoded_array` nesting [`EncodedValue::read`] accepts.
+/// Static-value arrays are flat in practice; the bound keeps a forged
+/// chain of array headers from overflowing a worker's stack.
+const MAX_ARRAY_DEPTH: usize = 64;
+
 /// Writes a signed integer using the minimal number of little-endian bytes,
 /// returning the byte count minus one (the `value_arg`).
 fn write_signed(out: &mut Vec<u8>, v: i64) -> u8 {
@@ -190,6 +195,14 @@ impl EncodedValue {
     /// Returns [`DexError::Truncated`] or [`DexError::Invalid`] on malformed
     /// input.
     pub fn read(buf: &[u8], pos: &mut usize) -> Result<EncodedValue> {
+        Self::read_nested(buf, pos, 0)
+    }
+
+    /// [`EncodedValue::read`] at `depth` enclosing arrays. Each nested
+    /// `encoded_array` costs one stack frame here (and one more when the
+    /// value is dropped), so the depth is bounded by [`MAX_ARRAY_DEPTH`]
+    /// rather than by the input.
+    fn read_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<EncodedValue> {
         let header = *buf.get(*pos).ok_or(DexError::Truncated {
             offset: *pos,
             what: "encoded_value header",
@@ -216,12 +229,17 @@ impl EncodedValue {
             VALUE_METHOD => EncodedValue::Method(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_ENUM => EncodedValue::Enum(read_unsigned(buf, pos, arg + 1)? as u32),
             VALUE_ARRAY => {
+                if depth >= MAX_ARRAY_DEPTH {
+                    return Err(DexError::Invalid(format!(
+                        "encoded_array nested deeper than {MAX_ARRAY_DEPTH}"
+                    )));
+                }
                 let n = crate::leb128::read_uleb128(buf, pos)? as usize;
                 // Every encoded value is at least one byte.
                 let n = crate::reader::table_len(buf, *pos, n, 1, "encoded_array")?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(EncodedValue::read(buf, pos)?);
+                    items.push(EncodedValue::read_nested(buf, pos, depth + 1)?);
                 }
                 EncodedValue::Array(items)
             }
@@ -328,6 +346,42 @@ mod tests {
             EncodedValue::Null
         );
         assert_eq!(EncodedValue::default_for_type("[I"), EncodedValue::Null);
+    }
+
+    /// `levels` nested one-element arrays around an innermost `null`.
+    fn nested_arrays(levels: usize) -> Vec<u8> {
+        let mut buf = [VALUE_ARRAY, 1].repeat(levels);
+        buf.push(VALUE_NULL);
+        buf
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        let mut pos = 0;
+        let buf = nested_arrays(MAX_ARRAY_DEPTH);
+        assert!(EncodedValue::read(&buf, &mut pos).is_ok());
+        let mut pos = 0;
+        let buf = nested_arrays(MAX_ARRAY_DEPTH + 1);
+        assert!(matches!(
+            EncodedValue::read(&buf, &mut pos),
+            Err(DexError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        // ~64 KB of array headers once overflowed a 2 MB worker stack.
+        let buf = nested_arrays(32 * 1024);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut pos = 0;
+                EncodedValue::read(&buf, &mut pos)
+            })
+            .unwrap()
+            .join()
+            .expect("parser thread survives");
+        assert!(matches!(result, Err(DexError::Invalid(_))));
     }
 
     #[test]

@@ -18,39 +18,121 @@
 /// emitted reports unsafe to embed in JS consumers.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{2028}' => out.push_str("\\u2028"),
-            '\u{2029}' => out.push_str("\\u2029"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// The index of the first byte at or after `from` for which `stop` holds,
+/// or `bytes.len()`. Whole 16-byte chunks without a stop byte are skipped
+/// with a branch-free test the compiler vectorises; DEX payloads are long
+/// hex strings with nothing to stop at. Write `stop` with `|`, not `||`:
+/// a short-circuit chain can keep the chunk test from vectorising.
+fn scan(bytes: &[u8], from: usize, stop: impl Fn(u8) -> bool) -> usize {
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 16) {
+        if chunk.iter().fold(false, |hit, &b| hit | stop(b)) {
+            break;
+        }
+        i += 16;
+    }
+    while i < bytes.len() && !stop(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// Appends the escaped form of `s` to `out`. Every run of bytes that
+/// needs no escape is copied with one `push_str`; only `"`, `\`, bytes
+/// below 0x20 and the 3-byte U+2028/U+2029 sequences are rewritten.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run_start = 0;
+    let mut i = 0;
+    loop {
+        // 0xE2 leads U+2028 (E2 80 A8) and U+2029 (E2 80 A9) in UTF-8; a
+        // valid `str` always has two continuation bytes after it.
+        i = scan(bytes, i, |b| {
+            (b < 0x20) | (b == b'"') | (b == b'\\') | (b == 0xe2)
+        });
+        let Some(&b) = bytes.get(i) else { break };
+        if b == 0xe2 && (bytes[i + 1] != 0x80 || !matches!(bytes[i + 2], 0xa8 | 0xa9)) {
+            i += 1;
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0xe2 if bytes[i + 2] == 0xa8 => out.push_str("\\u2028"),
+            0xe2 => out.push_str("\\u2029"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0x0f)]));
+            }
+        }
+        i += if b == 0xe2 { 3 } else { 1 };
+        run_start = i;
+    }
+    out.push_str(&s[run_start..]);
+}
+
+/// Appends `s` as a JSON string literal, quotes included.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// A JSON string literal, quotes included.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// Appends `items` between `open` and `close`, separated by `", "` — the
+/// one layout every emitted object and array uses.
+fn push_list<T>(
+    out: &mut String,
+    (open, close): (char, char),
+    items: impl IntoIterator<Item = T>,
+    mut push_item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_item(out, item);
+    }
+    out.push(close);
 }
 
 /// An object from already-serialised `(key, value)` members.
 pub fn object(members: &[(&str, String)]) -> String {
-    let body: Vec<String> = members
-        .iter()
-        .map(|(k, v)| format!("{}: {v}", string(k)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+    let len: usize = members.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+    let mut out = String::with_capacity(len + 2);
+    push_list(&mut out, ('{', '}'), members, |out, (key, value)| {
+        push_string(out, key);
+        out.push_str(": ");
+        out.push_str(value);
+    });
+    out
 }
 
 /// An array from already-serialised elements.
 pub fn array(elements: &[String]) -> String {
-    format!("[{}]", elements.join(", "))
+    let len: usize = elements.iter().map(|e| e.len() + 2).sum();
+    let mut out = String::with_capacity(len + 2);
+    push_list(&mut out, ('[', ']'), elements, |out, element| {
+        out.push_str(element);
+    });
+    out
 }
 
 /// A parsed JSON value.
@@ -129,25 +211,28 @@ impl Value {
     /// their raw token, so a parse→serialise round trip is lossless for
     /// `u64` payloads; object member order is preserved.
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the serialised value to `out`, in the layout of
+    /// [`object`] and [`array`].
+    fn write_json(&self, out: &mut String) {
         match self {
-            Value::Null => "null".to_owned(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(raw) => raw.clone(),
-            Value::Str(s) => string(s),
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(raw) => out.push_str(raw),
+            Value::Str(s) => push_string(out, s),
             Value::Arr(items) => {
-                let elements: Vec<String> = items.iter().map(Value::to_json).collect();
-                array(&elements)
+                push_list(out, ('[', ']'), items, |out, item| item.write_json(out));
             }
             Value::Obj(members) => {
-                let rendered: Vec<(String, String)> = members
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_json()))
-                    .collect();
-                let borrowed: Vec<(&str, String)> = rendered
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.clone()))
-                    .collect();
-                object(&borrowed)
+                push_list(out, ('{', '}'), members, |out, (key, value)| {
+                    push_string(out, key);
+                    out.push_str(": ");
+                    value.write_json(out);
+                });
             }
         }
     }
@@ -273,14 +358,19 @@ impl Parser<'_> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece; all three are ASCII, so the run ends on
+            // a char boundary.
+            let end = scan(self.s.as_bytes(), self.pos, |b| {
+                (b < 0x20) | (b == b'"') | (b == b'\\')
+            });
+            out.push_str(&self.s[self.pos..end]);
+            self.pos = end;
             match self.bump() {
                 None => return Err("unterminated string".to_owned()),
                 Some('"') => return Ok(out),
                 Some('\\') => out.push(self.escape_char()?),
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err(format!("raw control character at byte {}", self.pos))
-                }
-                Some(c) => out.push(c),
+                Some(_) => return Err(format!("raw control character at byte {}", self.pos)),
             }
         }
     }

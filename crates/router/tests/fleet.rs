@@ -1,7 +1,8 @@
 //! The router against a live fleet: fills replicate, a killed shard
 //! degrades to failover instead of client-visible errors, hedged
 //! requests beat a slow primary, and the routed batch runner produces
-//! local-harness-shaped reports.
+//! local-harness-shaped reports, and a forged-header probe gets an error
+//! reply without taking down the router or a backend.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +13,9 @@ use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
 use dexlego_harness::{job_key, HarnessConfig, JobReport, JobSpec, PoolExecutor};
 use dexlego_router::{run_batch_routed, Ring, Router, RouterConfig};
-use dexlego_service::{Client, Daemon, ExtractRequest, PipelinedClient, Reply, ServiceConfig};
+use dexlego_service::{
+    Client, Daemon, ExtractReply, ExtractRequest, PipelinedClient, Reply, ServiceConfig,
+};
 use dexlego_store::{Store, StoreConfig, TempDir};
 
 fn corpus_requests(count: usize) -> Vec<ExtractRequest> {
@@ -255,6 +258,43 @@ fn routed_batch_runs_against_the_fleet() {
 
     let mut front_client = Client::connect(&front).expect("connect");
     front_client.shutdown().expect("shutdown");
+    router.wait();
+    for daemon in daemons {
+        daemon.trigger_shutdown();
+        daemon.wait();
+    }
+}
+
+/// The forged-header probe through the router: an error reply, and
+/// afterwards the router and every backend still complete an extract.
+#[test]
+fn forged_header_probe_gets_an_error_reply_through_the_router() {
+    let (_dirs, daemons, addrs) = start_fleet(2);
+    let router = Router::start(RouterConfig::new(addrs.clone())).expect("router starts");
+    let front = router.addr().to_string();
+
+    let probe = ExtractRequest::new(dexlego_service::probe::forged_string_count_dex(), "LMain;");
+    let mut client = Client::connect(&front).expect("connect front");
+    client.send_line(&probe.encode()).expect("send probe");
+    match client.recv().expect("a reply to the probe") {
+        Reply::Error(_) => {}
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    let req = corpus_requests(1).remove(0);
+    assert!(
+        matches!(client.extract(&req), Ok(ExtractReply::Done { .. })),
+        "the router still serves extracts"
+    );
+    for addr in &addrs {
+        let mut backend = Client::connect(addr).expect("connect backend");
+        assert!(
+            matches!(backend.extract(&req), Ok(ExtractReply::Done { .. })),
+            "backend {addr} still serves extracts"
+        );
+    }
+
+    client.shutdown().expect("front shutdown");
     router.wait();
     for daemon in daemons {
         daemon.trigger_shutdown();

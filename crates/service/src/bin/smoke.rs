@@ -4,9 +4,12 @@
 //! dexlegod-smoke --addr HOST:PORT [--insns N] [--packer NAME] [--shutdown]
 //! ```
 //!
-//! Pings the daemon, submits the same extraction twice, and asserts the
-//! second reply is a cache hit with a byte-identical revealed DEX; then
-//! checks the stats endpoint saw at least one hit. With `--shutdown`, asks
+//! Pings the daemon and sends it a forged-header DEX, which must get an
+//! error reply with the daemon still answering `ping` afterwards. Then
+//! submits the same extraction twice and asserts the second reply is a
+//! cache hit with a byte-identical revealed DEX, and checks the stats
+//! endpoint saw at least one hit. Works the same against a bare
+//! `dexlegod` and against a `dexlego-router`. With `--shutdown`, asks
 //! the daemon to drain and exit afterwards. Exits 0 on success, 1 on any
 //! failed assertion.
 
@@ -15,7 +18,8 @@ use std::process::ExitCode;
 use dexlego_dex::writer::write_dex;
 use dexlego_droidbench::appgen::corpus_apps;
 use dexlego_harness::json::Value;
-use dexlego_service::{Client, ExtractReply, ExtractRequest};
+use dexlego_service::probe::forged_string_count_dex;
+use dexlego_service::{Client, ExtractReply, ExtractRequest, Reply};
 
 struct Args {
     addr: String,
@@ -60,6 +64,18 @@ fn run(args: &Args) -> Result<(), String> {
     let mut client =
         Client::connect(&args.addr).map_err(|e| format!("connect {}: {e}", args.addr))?;
     client.ping().map_err(|e| format!("ping: {e}"))?;
+
+    let probe = ExtractRequest::new(forged_string_count_dex(), "LMain;");
+    client
+        .send_line(&probe.encode())
+        .map_err(|e| format!("send probe: {e}"))?;
+    match client.recv().map_err(|e| format!("probe reply: {e}"))? {
+        Reply::Error(reason) => eprintln!("dexlegod-smoke: forged probe refused ({reason})"),
+        other => return Err(format!("forged probe got {other:?}, not an error reply")),
+    }
+    client
+        .ping()
+        .map_err(|e| format!("ping after the forged probe: {e}"))?;
 
     let (_, app) = corpus_apps(1, args.insns).into_iter().next().unwrap();
     let dex = write_dex(&app.dex).map_err(|e| format!("serialise app: {e:?}"))?;

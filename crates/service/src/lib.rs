@@ -28,12 +28,16 @@
 //!   that keeps many tagged requests in flight, used by the `dexlegod`
 //!   binaries, the latency-distribution load harness in `dexlego-bench`,
 //!   and the integration tests.
+//! - [`probe`] — the forged-header DEX that `dexlegod-smoke` and the
+//!   tests send to check that a hostile request gets an error reply and
+//!   leaves the receiving process answering.
 //!
 //! [`JobPool`]: dexlego_harness::JobPool
 
 pub mod client;
 pub mod framing;
 pub mod poll;
+pub mod probe;
 pub mod protocol;
 pub mod server;
 

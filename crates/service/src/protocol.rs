@@ -576,6 +576,26 @@ mod tests {
         }
     }
 
+    /// The exact wire line of a fixed request. Old clients and byte-level
+    /// reply scanners depend on the `", "` and `": "` separators, member
+    /// order and escape spelling, so this must never change.
+    #[test]
+    fn extract_request_line_is_golden() {
+        let mut req = sample();
+        req.name = Some("job \"1\"\t\u{2028}\u{7}é".to_owned());
+        assert_eq!(
+            req.encode_with_id(&RequestId::Num(7)),
+            r#"{"id": 7, "op": "extract", "name": "job \"1\"\t\u2028\u0007é", "dex": "64657800ff", "entry": "Lapp/Main;", "packer": "360", "seeds": [1, 18446744073709551615], "events": 3, "fuel": 5000000, "conformance": true, "deadline_ms": 250, "want_entry": true}"#
+        );
+        req.deadline_ms = None;
+        req.want_entry = false;
+        req.packer = None;
+        assert_eq!(
+            req.encode_with_id(&RequestId::Str("q/\"7\"".to_owned())),
+            r#"{"id": "q/\"7\"", "op": "extract", "name": "job \"1\"\t\u2028\u0007é", "dex": "64657800ff", "entry": "Lapp/Main;", "packer": null, "seeds": [1, 18446744073709551615], "events": 3, "fuel": 5000000, "conformance": true}"#
+        );
+    }
+
     #[test]
     fn ids_roundtrip_in_both_directions() {
         let req = sample();

@@ -991,10 +991,10 @@ impl EventLoop {
         // Fast path: a result already in the store is served inline, so
         // cache hits are never shed by admission control or queued behind
         // slow extractions. A corrupt entry (get quarantines it and
-        // returns None) falls through to a normal dispatch.
-        if job_key(&spec).is_some_and(|key| self.shared.store.contains(&key)) {
+        // returns None) falls through to a normal dispatch. The key costs
+        // a DEX write and a SHA-1 over it, so it is computed once.
+        if let Some(key) = job_key(&spec).filter(|key| self.shared.store.contains(key)) {
             let start = Instant::now();
-            let key = job_key(&spec).expect("key just computed");
             if let Some(hit) = self.shared.store.get(&key) {
                 let packer = spec.packer.map(|id| id.profile().name);
                 let mut report = from_cached(&spec.name, packer, &hit);
@@ -1189,4 +1189,50 @@ fn stats_reply(shared: &Shared) -> String {
     ]);
     let body = json::object(&members);
     json::object(&[("status", json::string("ok")), ("stats", body)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dexlego_harness::JobStatus;
+
+    fn fixed_report(status: JobStatus, cached: bool) -> JobReport {
+        JobReport {
+            status,
+            cached,
+            wall_us: 42,
+            insns: 1234,
+            counters: vec![("frames".to_owned(), 3), ("dump_size".to_owned(), 99)],
+            phases_us: vec![("collect".to_owned(), 10), ("verify".to_owned(), 20)],
+            ..JobReport::empty("job \"1\"".to_owned(), Some("360"))
+        }
+    }
+
+    /// The exact reply lines for a fixed report. Old clients and byte-level
+    /// reply scanners depend on the `", "` and `": "` separators, member
+    /// order and escape spelling, so these must never change.
+    #[test]
+    fn extract_reply_lines_are_golden() {
+        let dex = [0xde, 0xad, 0xbe, 0xef];
+        let ok = fixed_report(JobStatus::Ok, true);
+        assert_eq!(
+            with_id(&RequestId::Num(3), &extract_reply(&ok, Some(&dex), false)),
+            r#"{"id": 3, "status": "ok", "cached": true, "dex": "deadbeef", "report": {"name": "job \"1\"", "packer": "360", "status": "ok", "cached": true, "detail": null, "wall_us": 42, "insns": 1234, "frames": 3, "dump_size": 99, "phases_us": {"collect": 10, "verify": 20}}}"#
+        );
+        assert_eq!(
+            extract_reply(&ok, Some(&dex), true),
+            concat!(
+                r#"{"status": "ok", "cached": true, "dex": "deadbeef", "report": {"name": "job \"1\"", "packer": "360", "status": "ok", "cached": true, "detail": null, "wall_us": 42, "insns": 1234, "frames": 3, "dump_size": 99, "phases_us": {"collect": 10, "verify": 20}}, "#,
+                r#""entry": "5245533504000000deadbeef2a00000000000000d20400000000000002000000060000006672616d657303000000000000000900000064756d705f73697a656300000000000000000000000200000007000000636f6c6c6563740a00000000000000060000007665726966791400000000000000"}"#
+            )
+        );
+        let failed = fixed_report(
+            JobStatus::VerifierRejected("V0001 \"v2\"\nbad".to_owned()),
+            false,
+        );
+        assert_eq!(
+            extract_reply(&failed, None, false),
+            r#"{"status": "failed", "job_status": "verifier-rejected", "detail": "V0001 \"v2\"\nbad", "report": {"name": "job \"1\"", "packer": "360", "status": "verifier-rejected", "cached": false, "detail": "V0001 \"v2\"\nbad", "wall_us": 42, "insns": 1234, "frames": 3, "dump_size": 99, "phases_us": {"collect": 10, "verify": 20}}}"#
+        );
+    }
 }

@@ -208,31 +208,13 @@ fn saturated_pool_sheds_requests_and_drains_on_shutdown() {
     daemon.wait();
 }
 
-/// A 112-byte DEX header with a valid magic, endian tag, adler32 and SHA-1
-/// that claims four billion strings.
-fn forged_string_count_probe() -> Vec<u8> {
-    use dexlego_dex::{checksum, DEX_MAGIC, ENDIAN_CONSTANT, HEADER_SIZE};
-    let mut bytes = vec![0u8; HEADER_SIZE as usize];
-    bytes[..8].copy_from_slice(&DEX_MAGIC);
-    bytes[32..36].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // file_size
-    bytes[36..40].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // header_size
-    bytes[40..44].copy_from_slice(&ENDIAN_CONSTANT.to_le_bytes());
-    bytes[56..60].copy_from_slice(&u32::MAX.to_le_bytes()); // string_ids_size
-    bytes[60..64].copy_from_slice(&HEADER_SIZE.to_le_bytes()); // string_ids_off
-    let signature = checksum::sha1(&bytes[32..]);
-    bytes[12..32].copy_from_slice(&signature);
-    let sum = checksum::adler32(&bytes[12..]);
-    bytes[8..12].copy_from_slice(&sum.to_le_bytes());
-    bytes
-}
-
 #[test]
 fn forged_header_count_gets_an_error_reply_and_the_daemon_lives() {
     let dir = TempDir::new("service-probe").unwrap();
     let daemon = Daemon::start(ServiceConfig::new(dir.path())).expect("daemon starts");
     let mut client = Client::connect(&daemon.addr().to_string()).expect("connect");
 
-    let probe = forged_string_count_probe();
+    let probe = dexlego_service::probe::forged_string_count_dex();
     assert_eq!(probe.len(), 112);
     let req = ExtractRequest::new(probe, "LMain;");
     client.send_line(&req.encode()).unwrap();

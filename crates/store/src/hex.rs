@@ -1,13 +1,41 @@
 //! Lowercase hex encoding, shared by store keys and the service wire
 //! protocol (DEX payloads travel as hex strings inside JSON).
+//!
+//! Both directions are table-driven and write into a buffer sized up
+//! front: a store hit hex-encodes the whole revealed DEX, so this is on
+//! every warm reply.
+
+const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`NIBBLE`].
+const BAD: u8 = 0xff;
+
+/// Hex digit → nibble for every byte value (either case); [`BAD`] for
+/// everything else, including every non-ASCII byte.
+const NIBBLE: [u8; 256] = {
+    let mut table = [BAD; 256];
+    let mut i = 0;
+    while i < 10 {
+        table[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        table[b'a' as usize + i] = 10 + i as u8;
+        table[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    table
+};
 
 /// Encodes `bytes` as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = DIGITS[usize::from(b >> 4)];
+        pair[1] = DIGITS[usize::from(b & 0x0f)];
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decodes a hex string (either case). `None` on odd length or non-hex
@@ -16,14 +44,17 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
+    let mut out = vec![0u8; s.len() / 2];
+    // Valid nibbles fit in the low four bits, so one OR over every table
+    // entry flags a bad digit anywhere without a branch per pair.
+    let mut seen = 0u8;
+    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
+        let hi = NIBBLE[usize::from(pair[0])];
+        let lo = NIBBLE[usize::from(pair[1])];
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
     }
-    Some(out)
+    (seen & 0xf0 == 0).then_some(out)
 }
 
 #[cfg(test)]

@@ -47,9 +47,11 @@ cargo run -p dexlego-bench --bin service --release -- --smoke
 # introduces a new false positive (or loses a true leak) fails here.
 cargo run -p dexlego-bench --bin taint_gate --release
 
-# Service smoke: start dexlegod on an ephemeral port, submit the same
-# extraction twice (the smoke client asserts the second is a cache hit
-# with byte-identical DEX), then drain gracefully and check exit 0.
+# Service smoke: start dexlegod on an ephemeral port, send the 112-byte
+# forged-header probe (the smoke client asserts an error reply and a
+# working ping after it), submit the same extraction twice (the second
+# must be a cache hit with byte-identical DEX), then drain gracefully and
+# check exit 0.
 # Each address poll below tolerates an output file the just-forked
 # process has not created yet; the poll still fails after 10 s without an
 # address.
@@ -95,8 +97,9 @@ echo "verify: dexlegod service smoke ok"
 cargo run -p dexlego-bench --bin service --release -- --router 3 --smoke
 
 # Router fleet smoke: three real dexlegod processes behind a real
-# dexlego-router process. Round-trip through the router (second
-# extraction must be a cache hit), then kill -9 one shard and read
+# dexlego-router process. Round-trip through the router (the forged
+# probe must get an error reply and leave the router answering; the
+# second extraction must be a cache hit), then kill -9 one shard and read
 # again — the fleet must still answer — then drain the router
 # gracefully and check exit 0.
 fleet_dir="target/verify-fleet"
