@@ -1,30 +1,30 @@
-//! Verifier throughput benchmark: the reference sequential fixpoint
-//! versus the fast path (RPO worklist, slab frames, digest-keyed verify
-//! cache), reported as verified instructions per second.
+//! Verifier throughput benchmark: whole-DEX verification with and without
+//! the digest-keyed verify cache, reported as verified instructions per
+//! second.
 //!
-//! Three measurements per corpus:
+//! Three single-pass measurements per corpus:
 //!
-//! * **baseline** — `VerifyOptions::sequential_reference().without_cache()`,
-//!   the pre-optimization engine;
-//! * **fast cold** — the fast engine against an empty verify cache;
-//! * **fast warm** — the fast engine re-verifying the same corpus, so
-//!   every method is served from the cache.
+//! * **uncached** — `VerifyOptions::default().without_cache()`;
+//! * **cold** — against an empty verify cache (pays the key digest and
+//!   the insert on top of verification);
+//! * **warm** — re-verifying the same corpus, so every DEX is served from
+//!   the cache.
 //!
 //! The headline number is the *corpus workload*: every DEX verified
 //! `rounds` times, modelling the pipeline's verification gate plus the
-//! taint tools each re-verifying the same revealed DEX. The fast path runs
-//! the workload against one shared cache; the baseline re-verifies every
-//! round from scratch, exactly as the pipeline did before the verify-once
-//! change.
+//! taint tools each re-verifying the same revealed DEX. The cached side
+//! runs the workload against one shared cache; the uncached side
+//! re-verifies every round from scratch.
 //!
-//! Every fast-path run is differentially checked against the baseline:
-//! diagnostics must match exactly, method by method, or the bench panics.
+//! Before any timing, the cold and warm cached results are checked against
+//! the uncached one over the full typed result — diagnostics, hierarchy
+//! and every method's IR — or the bench panics.
 
 use std::time::Instant;
 
 use dexlego_dex::DexFile;
 use dexlego_harness::json;
-use dexlego_verifier::{clear_verify_cache, verify_dex_typed, TypedDex, VerifyOptions};
+use dexlego_verifier::{clear_verify_cache, verify_dex_typed, TypeId, TypedDex, VerifyOptions};
 
 /// Everything measured over one corpus.
 #[derive(Debug, Clone)]
@@ -37,55 +37,48 @@ pub struct VerifierBenchResult {
     pub insns: u64,
     /// Rounds per corpus-workload measurement.
     pub rounds: u32,
-    /// Best-of-N seconds for one baseline corpus pass.
-    pub baseline_s: f64,
-    /// Best-of-N seconds for one fast pass with the cache disabled
-    /// (isolates the engine win from cache-key overhead).
-    pub fast_nocache_s: f64,
-    /// Best-of-N seconds for one fast pass against an empty cache.
-    pub fast_cold_s: f64,
-    /// Best-of-N seconds for one fast pass against a warm cache.
-    pub fast_warm_s: f64,
-    /// Seconds for `rounds` baseline passes (no cache, every round pays).
-    pub corpus_baseline_s: f64,
-    /// Seconds for `rounds` fast passes sharing one cache.
-    pub corpus_fast_s: f64,
-    /// Verify-cache hits across the fast corpus workload.
+    /// Best-of-N seconds for one pass with the cache disabled.
+    pub uncached_s: f64,
+    /// Best-of-N seconds for one pass against an empty cache.
+    pub cold_s: f64,
+    /// Best-of-N seconds for one pass against a warm cache.
+    pub warm_s: f64,
+    /// Seconds for `rounds` passes with the cache disabled.
+    pub corpus_uncached_s: f64,
+    /// Seconds for `rounds` passes sharing one cache, starting empty.
+    pub corpus_cached_s: f64,
+    /// Verify-cache hits across the cached corpus workload.
     pub cache_hits: u64,
-    /// Verify-cache misses across the fast corpus workload.
+    /// Verify-cache misses across the cached corpus workload.
     pub cache_misses: u64,
 }
 
 impl VerifierBenchResult {
-    /// Fast-cold speedup over the baseline engine (algorithmic win only).
+    /// Cold-pass speedup over an uncached pass (below 1: the key digest
+    /// and insert cost more than nothing).
     pub fn cold_speedup(&self) -> f64 {
-        self.baseline_s / self.fast_cold_s.max(1e-9)
+        self.uncached_s / self.cold_s.max(1e-9)
     }
 
-    /// Fast-engine speedup with the cache disabled entirely.
-    pub fn engine_speedup(&self) -> f64 {
-        self.baseline_s / self.fast_nocache_s.max(1e-9)
-    }
-
-    /// Fast-warm speedup over the baseline engine (pure cache hits).
+    /// Warm-pass speedup over an uncached pass (pure cache hits).
     pub fn warm_speedup(&self) -> f64 {
-        self.baseline_s / self.fast_warm_s.max(1e-9)
+        self.uncached_s / self.warm_s.max(1e-9)
     }
 
-    /// Corpus-workload speedup: `rounds` baseline passes versus `rounds`
-    /// fast passes sharing the verify cache. The headline number.
+    /// Corpus-workload speedup: `rounds` uncached passes versus `rounds`
+    /// passes sharing the verify cache. The headline number.
     pub fn corpus_speedup(&self) -> f64 {
-        self.corpus_baseline_s / self.corpus_fast_s.max(1e-9)
+        self.corpus_uncached_s / self.corpus_cached_s.max(1e-9)
     }
 
-    /// Baseline verified instructions per second (single pass).
-    pub fn baseline_insns_per_s(&self) -> f64 {
-        self.insns as f64 / self.baseline_s.max(1e-9)
+    /// Uncached verified instructions per second (single pass).
+    pub fn uncached_insns_per_s(&self) -> f64 {
+        self.insns as f64 / self.uncached_s.max(1e-9)
     }
 
-    /// Fast-path corpus-workload instructions per second.
-    pub fn corpus_fast_insns_per_s(&self) -> f64 {
-        (self.insns * u64::from(self.rounds)) as f64 / self.corpus_fast_s.max(1e-9)
+    /// Cached corpus-workload instructions per second.
+    pub fn corpus_cached_insns_per_s(&self) -> f64 {
+        (self.insns * u64::from(self.rounds)) as f64 / self.corpus_cached_s.max(1e-9)
     }
 }
 
@@ -104,82 +97,100 @@ fn pass(dexes: &[DexFile], options: &VerifyOptions) -> (Vec<TypedDex>, f64) {
     (typed, start.elapsed().as_secs_f64())
 }
 
-/// Panics unless both engines produced identical diagnostics per DEX.
-fn assert_identical(baseline: &[TypedDex], fast: &[TypedDex]) {
-    assert_eq!(baseline.len(), fast.len());
-    for (i, (b, f)) in baseline.iter().zip(fast).enumerate() {
+/// The hierarchy's interned names in `TypeId` order plus every method's
+/// identity and typed instructions, rendered for exact comparison (the
+/// hash-map lookup tables are left out: their debug order varies).
+fn render_ir(t: &TypedDex) -> String {
+    let names: Vec<&str> = (0..t.hierarchy.len())
+        .map(|i| t.hierarchy.name(TypeId(i as u32)))
+        .collect();
+    let mut out = format!("{names:?}");
+    for ir in &t.methods {
+        out.push_str(&format!(
+            "\n{} #{} {} {} regs={} ins={} {:?}",
+            ir.signature, ir.method_idx, ir.class, ir.name, ir.registers, ir.ins, ir.insns
+        ));
+    }
+    out
+}
+
+/// Panics unless `cached` equals `uncached` per DEX in diagnostics,
+/// hierarchy and every method's typed IR.
+fn assert_identical(uncached: &[TypedDex], cached: &[TypedDex], what: &str) {
+    assert_eq!(uncached.len(), cached.len());
+    for (i, (u, c)) in uncached.iter().zip(cached).enumerate() {
         assert_eq!(
-            b.diagnostics, f.diagnostics,
-            "app {i}: fast-path diagnostics diverge from the reference engine"
+            u.diagnostics, c.diagnostics,
+            "app {i}: {what} diagnostics diverge from an uncached run"
+        );
+        assert!(
+            render_ir(u) == render_ir(c),
+            "app {i}: {what} typed IR diverges from an uncached run"
         );
     }
 }
 
 /// Runs the full measurement over `apps` generated apps of `base_insns`
-/// baseline size: single-pass baseline/cold/warm (best of `repeats`), then
-/// the `rounds`-pass corpus workload under both engines.
+/// baseline size: single-pass uncached/cold/warm (best of `repeats`), then
+/// the `rounds`-pass corpus workload with and without the cache.
 pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> VerifierBenchResult {
     let dexes = corpus(apps, base_insns);
-    let baseline_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
-    let fast_opts = VerifyOptions::default();
-    let fast_nocache_opts = VerifyOptions::default().without_cache();
+    let uncached_opts = VerifyOptions::default().without_cache();
+    let cached_opts = VerifyOptions::default();
 
-    // Differential check before any timing: the two engines must agree.
-    let (base_typed, _) = pass(&dexes, &baseline_opts);
+    // Before any timing: a cold and a warm cached pass must both reproduce
+    // the uncached result exactly.
+    let (uncached_typed, _) = pass(&dexes, &uncached_opts);
     clear_verify_cache();
-    let (fast_typed, _) = pass(&dexes, &fast_opts);
-    assert_identical(&base_typed, &fast_typed);
-    let methods: usize = base_typed.iter().map(|t| t.methods.len()).sum();
-    let insns: u64 = base_typed.iter().map(|t| t.insn_count() as u64).sum();
+    let (cold_typed, _) = pass(&dexes, &cached_opts);
+    assert_identical(&uncached_typed, &cold_typed, "cold cached");
+    let (warm_typed, _) = pass(&dexes, &cached_opts);
+    assert_identical(&uncached_typed, &warm_typed, "warm cached");
+    let methods: usize = uncached_typed.iter().map(|t| t.methods.len()).sum();
+    let insns: u64 = uncached_typed.iter().map(|t| t.insn_count() as u64).sum();
 
-    let mut baseline_s = f64::MAX;
-    let mut fast_nocache_s = f64::MAX;
-    let mut fast_cold_s = f64::MAX;
-    let mut fast_warm_s = f64::MAX;
+    let mut uncached_s = f64::MAX;
+    let mut cold_s = f64::MAX;
+    let mut warm_s = f64::MAX;
     for _ in 0..repeats.max(1) {
-        let (_, s) = pass(&dexes, &baseline_opts);
-        baseline_s = baseline_s.min(s);
-        let (_, s) = pass(&dexes, &fast_nocache_opts);
-        fast_nocache_s = fast_nocache_s.min(s);
+        let (_, s) = pass(&dexes, &uncached_opts);
+        uncached_s = uncached_s.min(s);
         clear_verify_cache();
-        let (_, s) = pass(&dexes, &fast_opts);
-        fast_cold_s = fast_cold_s.min(s);
+        let (_, s) = pass(&dexes, &cached_opts);
+        cold_s = cold_s.min(s);
         // The cache is now warm from the cold pass.
-        let (_, s) = pass(&dexes, &fast_opts);
-        fast_warm_s = fast_warm_s.min(s);
+        let (_, s) = pass(&dexes, &cached_opts);
+        warm_s = warm_s.min(s);
     }
 
-    // Corpus workload: every DEX verified `rounds` times, the shape of the
-    // pipeline gate plus downstream taint tools before verify-once. Both
-    // sides are best-of-`repeats`; each fast repeat starts cold so a
-    // measurement is always one cold round plus `rounds - 1` warm ones.
-    let mut corpus_baseline_s = f64::MAX;
-    let mut corpus_fast_s = f64::MAX;
+    // Corpus workload: every DEX verified `rounds` times. Both sides are
+    // best-of-`repeats`; each cached repeat starts cold so a measurement is
+    // always one cold round plus `rounds - 1` warm ones.
+    let mut corpus_uncached_s = f64::MAX;
+    let mut corpus_cached_s = f64::MAX;
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
     for _ in 0..repeats.max(1) {
         let start = Instant::now();
         for _ in 0..rounds {
-            pass(&dexes, &baseline_opts);
+            pass(&dexes, &uncached_opts);
         }
-        corpus_baseline_s = corpus_baseline_s.min(start.elapsed().as_secs_f64());
+        corpus_uncached_s = corpus_uncached_s.min(start.elapsed().as_secs_f64());
 
         clear_verify_cache();
         let mut hits = 0u64;
         let mut misses = 0u64;
         let start = Instant::now();
         for _ in 0..rounds {
-            let (typed, _) = pass(&dexes, &fast_opts);
+            let (typed, _) = pass(&dexes, &cached_opts);
             for t in &typed {
                 hits += t.cache_hits;
                 misses += t.cache_misses;
             }
         }
         let s = start.elapsed().as_secs_f64();
-        if s < corpus_fast_s {
-            corpus_fast_s = s;
+        if s < corpus_cached_s {
+            corpus_cached_s = s;
             cache_hits = hits;
             cache_misses = misses;
         }
@@ -190,37 +201,14 @@ pub fn run(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> Verifie
         methods,
         insns,
         rounds,
-        baseline_s,
-        fast_nocache_s,
-        fast_cold_s,
-        fast_warm_s,
-        corpus_baseline_s,
-        corpus_fast_s,
+        uncached_s,
+        cold_s,
+        warm_s,
+        corpus_uncached_s,
+        corpus_cached_s,
         cache_hits,
         cache_misses,
     }
-}
-
-/// Baseline-only measurement: the reference sequential engine, single
-/// pass and corpus workload, with no fast path involved. Used to pin the
-/// pre-optimization numbers independently of the comparison run.
-pub fn run_baseline(apps: usize, base_insns: usize, rounds: u32, repeats: u32) -> (f64, f64, u64) {
-    let dexes = corpus(apps, base_insns);
-    let baseline_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
-    let (typed, _) = pass(&dexes, &baseline_opts);
-    let insns: u64 = typed.iter().map(|t| t.insn_count() as u64).sum();
-    let mut single_s = f64::MAX;
-    for _ in 0..repeats.max(1) {
-        let (_, s) = pass(&dexes, &baseline_opts);
-        single_s = single_s.min(s);
-    }
-    let start = Instant::now();
-    for _ in 0..rounds {
-        pass(&dexes, &baseline_opts);
-    }
-    (single_s, start.elapsed().as_secs_f64(), insns)
 }
 
 /// Formats the results as one JSON object (BENCH_verifier.json).
@@ -231,24 +219,25 @@ pub fn format(r: &VerifierBenchResult) -> String {
         ("methods", r.methods.to_string()),
         ("insns", r.insns.to_string()),
         ("rounds", r.rounds.to_string()),
-        ("baseline_us", format!("{:.0}", r.baseline_s * 1e6)),
-        ("fast_nocache_us", format!("{:.0}", r.fast_nocache_s * 1e6)),
-        ("fast_cold_us", format!("{:.0}", r.fast_cold_s * 1e6)),
-        ("fast_warm_us", format!("{:.0}", r.fast_warm_s * 1e6)),
+        ("uncached_us", format!("{:.0}", r.uncached_s * 1e6)),
+        ("cold_us", format!("{:.0}", r.cold_s * 1e6)),
+        ("warm_us", format!("{:.0}", r.warm_s * 1e6)),
         (
-            "corpus_baseline_us",
-            format!("{:.0}", r.corpus_baseline_s * 1e6),
-        ),
-        ("corpus_fast_us", format!("{:.0}", r.corpus_fast_s * 1e6)),
-        (
-            "baseline_insns_per_s",
-            format!("{:.0}", r.baseline_insns_per_s()),
+            "corpus_uncached_us",
+            format!("{:.0}", r.corpus_uncached_s * 1e6),
         ),
         (
-            "corpus_fast_insns_per_s",
-            format!("{:.0}", r.corpus_fast_insns_per_s()),
+            "corpus_cached_us",
+            format!("{:.0}", r.corpus_cached_s * 1e6),
         ),
-        ("engine_speedup", format!("{:.2}", r.engine_speedup())),
+        (
+            "uncached_insns_per_s",
+            format!("{:.0}", r.uncached_insns_per_s()),
+        ),
+        (
+            "corpus_cached_insns_per_s",
+            format!("{:.0}", r.corpus_cached_insns_per_s()),
+        ),
         ("cold_speedup", format!("{:.2}", r.cold_speedup())),
         ("warm_speedup", format!("{:.2}", r.warm_speedup())),
         ("corpus_speedup", format!("{:.2}", r.corpus_speedup())),

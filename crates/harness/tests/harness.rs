@@ -90,6 +90,32 @@ fn good_job(name: &str) -> JobSpec {
     job
 }
 
+/// A job whose `onCreate` declares 30 000 registers must fail reassembly
+/// (the guard register cannot go above v255), not reach the verifier
+/// (that would end as `VerifierRejected` or `Ok`): revealed bodies from
+/// `merge_tree` never have more than 256 registers.
+#[test]
+fn oversized_frame_fails_reassembly_before_verification() {
+    let entry = "Lwide/Main;";
+    let mut pb = ProgramBuilder::new();
+    pb.class(entry, |c| {
+        c.superclass("Landroid/app/Activity;");
+        c.method("onCreate", &["Landroid/os/Bundle;"], "V", 30_000, |m| {
+            m.asm.const4(0, 0);
+            m.asm.ret(Opcode::ReturnVoid, 0);
+        });
+    });
+    let job = JobSpec::new("wide-frame", pb.build().expect("wide assembles"), entry);
+    let report = run_batch(vec![job], &HarnessConfig::with_workers(1));
+    match &report.jobs[0].status {
+        JobStatus::ReassemblyFailed(msg) => assert!(
+            msg.contains("cannot allocate guard register above v255"),
+            "unexpected reassembly error: {msg}"
+        ),
+        other => panic!("expected ReassemblyFailed, got {other:?}"),
+    }
+}
+
 #[test]
 fn panicking_job_is_isolated() {
     let report = run_batch(

@@ -1,29 +1,26 @@
 //! Process-level digest-keyed verification cache.
 //!
-//! Every method's verification result (post-filter diagnostics plus the
-//! optional [`TypedIr`]) is keyed by a SHA-1 digest of everything that can
-//! influence it:
+//! One entry holds the whole result of one `verify_dex`-level call — the
+//! assembled diagnostics, the identity-stamped method IRs and the interned
+//! [`ClassHierarchy`] — keyed by one SHA-1 digest, built in one buffer
+//! walk, of everything that can influence it:
 //!
 //! * [`VERIFIER_VERSION`] — bumped whenever verification semantics change,
 //!   so a new build never replays results from an older rule set;
-//! * the *DEX epoch* ([`dex_epoch`]) — a digest of the constant pools and
-//!   class-definition hierarchy links. Two DEX files with equal epochs
-//!   intern identical pools in identical order, so an epoch match makes
-//!   cached `TypeId`s and pool-index-dependent diagnostics valid verbatim;
-//! * the method's pool index (which, under an equal epoch, pins its
-//!   signature), staticness, frame configuration, raw code units, and
-//!   try/catch tables;
-//! * an options fingerprint (engine, lint enablement, suppressed rules,
-//!   whether IR was requested).
+//! * the constant pools and class-definition links (superclass,
+//!   interfaces, access). Equal pools intern equal `TypeId`s, so cached IR
+//!   and pool-index-dependent diagnostics are valid verbatim;
+//! * an options fingerprint (lint enablement, suppressed rules, whether
+//!   IR was requested);
+//! * every method body in class-definition order: pool index,
+//!   staticness, frame configuration, raw code units, try/catch tables.
 //!
 //! The map is process-global behind a mutex with bounded FIFO eviction.
-//! The dominant workload — the pipeline gate plus several taint tools
-//! re-verifying the same revealed DEX, and corpus apps sharing generated
-//! library classes — hits with zero re-verification. The IR is stored
-//! fully identity-stamped behind an [`Arc`]: an equal epoch implies equal
-//! pools, so the stamped `method_idx`/signature/class/name transfer
-//! verbatim and a hit shares the IR without cloning it. A hit is
-//! byte-identical to a fresh run (asserted by the cache tests).
+//! The workload it serves — the pipeline gate plus several taint tools
+//! re-verifying the same revealed DEX — pays one digest and one lookup per
+//! re-verification, and a hit shares the IR and hierarchy without cloning
+//! them. A hit is byte-identical to a fresh run (asserted by the cache
+//! tests). DESIGN.md §16 records why there is no per-method layer.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -32,10 +29,7 @@ use dexlego_dex::checksum::sha1;
 use dexlego_dex::code::CodeItem;
 use dexlego_dex::DexFile;
 
-use crate::diag::Diagnostic;
-use crate::hierarchy::ClassHierarchy;
-use crate::typed_ir::TypedIr;
-use crate::VerifyOptions;
+use crate::{TypedDex, VerifyOptions};
 
 /// Version stamp folded into every cache key. Bump the suffix whenever
 /// verification semantics change (new rules, lattice changes, message
@@ -43,20 +37,11 @@ use crate::VerifyOptions;
 pub const VERIFIER_VERSION: &str =
     concat!("dexlego-verifier-", env!("CARGO_PKG_VERSION"), "+vfy.2");
 
-/// Entries kept before FIFO eviction. Each entry holds one method's
-/// diagnostics and IR; thousands cover a large corpus app.
-const CAPACITY: usize = 8192;
-
-/// A cached verification result. Diagnostics are stored method-stamped
-/// and the IR fully identity-stamped (both valid verbatim under an equal
-/// epoch); the IR is shared, not cloned, on every hit.
-pub(crate) struct Entry {
-    pub diags: Vec<Diagnostic>,
-    pub ir: Option<Arc<TypedIr>>,
-}
+/// Whole-DEX entries kept before FIFO eviction.
+const CAPACITY: usize = 128;
 
 struct Store {
-    map: HashMap<[u8; 20], Arc<Entry>>,
+    map: HashMap<[u8; 20], Arc<TypedDex>>,
     order: VecDeque<[u8; 20]>,
 }
 
@@ -70,7 +55,7 @@ fn store() -> &'static Mutex<Store> {
     })
 }
 
-pub(crate) fn lookup(key: &[u8; 20]) -> Option<Arc<Entry>> {
+pub(crate) fn lookup(key: &[u8; 20]) -> Option<Arc<TypedDex>> {
     store()
         .lock()
         .expect("verify cache lock")
@@ -79,7 +64,9 @@ pub(crate) fn lookup(key: &[u8; 20]) -> Option<Arc<Entry>> {
         .cloned()
 }
 
-pub(crate) fn insert(key: [u8; 20], diags: Vec<Diagnostic>, ir: Option<Arc<TypedIr>>) {
+/// Stores a fresh result; its `cache_misses` is the body count a hit
+/// reports as `cache_hits`.
+pub(crate) fn insert(key: [u8; 20], typed: TypedDex) {
     let mut s = store().lock().expect("verify cache lock");
     if s.map.contains_key(&key) {
         return;
@@ -90,7 +77,7 @@ pub(crate) fn insert(key: [u8; 20], diags: Vec<Diagnostic>, ir: Option<Arc<Typed
         };
         s.map.remove(&old);
     }
-    s.map.insert(key, Arc::new(Entry { diags, ir }));
+    s.map.insert(key, Arc::new(typed));
     s.order.push_back(key);
 }
 
@@ -99,120 +86,6 @@ pub(crate) fn clear() {
     let mut s = store().lock().expect("verify cache lock");
     s.map.clear();
     s.order.clear();
-    let mut h = hier_store().lock().expect("hierarchy cache lock");
-    h.map.clear();
-    h.order.clear();
-    drop(h);
-    let mut d = dex_store().lock().expect("dex cache lock");
-    d.map.clear();
-    d.order.clear();
-}
-
-/// Interned hierarchies kept before FIFO eviction. Each entry is a full
-/// per-DEX hierarchy, so the cap is much smaller than [`CAPACITY`].
-const HIER_CAPACITY: usize = 64;
-
-struct HierStore {
-    map: HashMap<[u8; 20], Arc<ClassHierarchy>>,
-    order: VecDeque<[u8; 20]>,
-}
-
-fn hier_store() -> &'static Mutex<HierStore> {
-    static STORE: OnceLock<Mutex<HierStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(HierStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-/// A cached whole-DEX verification result: the assembled diagnostics and
-/// shared method IRs of one `verify_dex`-level call. Keyed by a digest of
-/// the epoch, the options fingerprint, and every method body's identity
-/// and code, so a re-verification of an unchanged DEX is one lookup
-/// instead of one per method.
-pub(crate) struct DexEntry {
-    pub diags: Vec<Diagnostic>,
-    pub methods: Vec<Arc<TypedIr>>,
-    pub body_count: u64,
-}
-
-/// Whole-DEX entries kept before FIFO eviction.
-const DEX_CAPACITY: usize = 128;
-
-struct DexStore {
-    map: HashMap<[u8; 20], Arc<DexEntry>>,
-    order: VecDeque<[u8; 20]>,
-}
-
-fn dex_store() -> &'static Mutex<DexStore> {
-    static STORE: OnceLock<Mutex<DexStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(DexStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        })
-    })
-}
-
-pub(crate) fn dex_lookup(key: &[u8; 20]) -> Option<Arc<DexEntry>> {
-    dex_store()
-        .lock()
-        .expect("dex cache lock")
-        .map
-        .get(key)
-        .cloned()
-}
-
-pub(crate) fn dex_insert(key: [u8; 20], entry: DexEntry) {
-    let mut s = dex_store().lock().expect("dex cache lock");
-    if s.map.contains_key(&key) {
-        return;
-    }
-    while s.map.len() >= DEX_CAPACITY {
-        let Some(old) = s.order.pop_front() else {
-            break;
-        };
-        s.map.remove(&old);
-    }
-    s.map.insert(key, Arc::new(entry));
-    s.order.push_back(key);
-}
-
-/// The interned class hierarchy for `dex`, shared across calls with an
-/// equal epoch. The epoch digests every pool and class-definition link the
-/// interning reads, so two DEX files with equal epochs intern the same
-/// hierarchy with the same `TypeId`s — rebuilding it per verification call
-/// would be pure waste on the re-verification workload.
-pub(crate) fn hierarchy_for(epoch: &[u8; 20], dex: &DexFile) -> Arc<ClassHierarchy> {
-    if let Some(hit) = hier_store()
-        .lock()
-        .expect("hierarchy cache lock")
-        .map
-        .get(epoch)
-    {
-        return Arc::clone(hit);
-    }
-    let built = Arc::new(ClassHierarchy::from_dex(dex));
-    let mut s = hier_store().lock().expect("hierarchy cache lock");
-    if let Some(racer) = s.map.get(epoch) {
-        return Arc::clone(racer);
-    }
-    while s.map.len() >= HIER_CAPACITY {
-        let Some(old) = s.order.pop_front() else {
-            break;
-        };
-        s.map.remove(&old);
-    }
-    s.map.insert(*epoch, Arc::clone(&built));
-    s.order.push_back(*epoch);
-    built
-}
-
-/// Number of cached method results.
-pub(crate) fn len() -> usize {
-    store().lock().expect("verify cache lock").map.len()
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -224,90 +97,90 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Digest of everything pool- and hierarchy-shaped that method verification
-/// can observe: strings, type ids, prototypes, field and method ids, and
-/// class-definition links (superclass/interfaces/access). Computed once per
-/// [`crate::verify_dex`]-level call; an equal epoch means equal interning,
-/// so per-method results transfer across `DexFile` instances verbatim.
-pub(crate) fn dex_epoch(dex: &DexFile) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(4096);
-    put_str(&mut buf, VERIFIER_VERSION);
-    put_u32(&mut buf, dex.strings().len() as u32);
-    for s in dex.strings() {
-        put_str(&mut buf, s);
-    }
-    put_u32(&mut buf, dex.type_ids().len() as u32);
-    for &t in dex.type_ids() {
-        put_u32(&mut buf, t);
-    }
-    put_u32(&mut buf, dex.protos().len() as u32);
-    for p in dex.protos() {
-        put_u32(&mut buf, p.shorty);
-        put_u32(&mut buf, p.return_type);
-        put_u32(&mut buf, p.parameters.len() as u32);
-        for &param in &p.parameters {
-            put_u32(&mut buf, param);
-        }
-    }
-    put_u32(&mut buf, dex.field_ids().len() as u32);
-    for f in dex.field_ids() {
-        put_u32(&mut buf, f.class);
-        put_u32(&mut buf, f.type_);
-        put_u32(&mut buf, f.name);
-    }
-    put_u32(&mut buf, dex.method_ids().len() as u32);
-    for m in dex.method_ids() {
-        put_u32(&mut buf, m.class);
-        put_u32(&mut buf, m.proto);
-        put_u32(&mut buf, m.name);
-    }
-    put_u32(&mut buf, dex.class_defs().len() as u32);
-    for c in dex.class_defs() {
-        put_u32(&mut buf, c.class_idx);
-        put_u32(&mut buf, c.access.bits());
-        put_u32(&mut buf, c.superclass.map_or(u32::MAX, |s| s));
-        put_u32(&mut buf, c.interfaces.len() as u32);
-        for &i in &c.interfaces {
-            put_u32(&mut buf, i);
-        }
-    }
-    sha1(&buf)
-}
-
 /// The part of [`VerifyOptions`] (plus `want_ir`) that selects between
-/// distinct result spaces. The engine is included so fast and reference
-/// runs never share entries — which keeps differential tests honest even
-/// with the cache enabled.
+/// distinct result spaces.
 pub(crate) fn options_fingerprint(options: &VerifyOptions, want_ir: bool) -> String {
     let mut allowed: Vec<&str> = options.allowed.iter().map(String::as_str).collect();
     allowed.sort_unstable();
     format!(
-        "eo={}|ir={}|ref={}|allow={}",
+        "eo={}|ir={}|allow={}",
         options.errors_only,
         want_ir,
-        options.reference,
         allowed.join(",")
     )
 }
 
-/// Cache key for one method body under one DEX epoch and option set. The
-/// method is identified by its pool index — under an equal epoch the
-/// method pool is identical, so the index pins the signature without
-/// paying to build the signature string on every lookup.
-pub(crate) fn method_key(
-    epoch: &[u8; 20],
-    method_idx: u32,
-    is_static: bool,
-    code: &CodeItem,
+/// Cache key for one `verify_dex`-level call: `(method_idx, is_static,
+/// code)` for every body, in class-definition order.
+pub(crate) fn key<'a>(
+    dex: &DexFile,
     options_fp: &str,
+    bodies: impl Iterator<Item = (u32, bool, &'a CodeItem)>,
 ) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(64 + code.insns.len() * 2);
-    buf.extend_from_slice(epoch);
-    put_u32(&mut buf, method_idx);
-    buf.push(u8::from(is_static));
-    put_code(&mut buf, code);
+    key_for_version(VERIFIER_VERSION, dex, options_fp, bodies)
+}
+
+fn key_for_version<'a>(
+    version: &str,
+    dex: &DexFile,
+    options_fp: &str,
+    bodies: impl Iterator<Item = (u32, bool, &'a CodeItem)>,
+) -> [u8; 20] {
+    let mut buf = Vec::with_capacity(8192);
+    put_str(&mut buf, version);
+    put_pools(&mut buf, dex);
     put_str(&mut buf, options_fp);
+    for (method_idx, is_static, code) in bodies {
+        put_u32(&mut buf, method_idx);
+        buf.push(u8::from(is_static));
+        put_code(&mut buf, code);
+    }
     sha1(&buf)
+}
+
+/// Serialises everything pool- and hierarchy-shaped that verification can
+/// observe: strings, type ids, prototypes, field and method ids, and
+/// class-definition links.
+fn put_pools(buf: &mut Vec<u8>, dex: &DexFile) {
+    put_u32(buf, dex.strings().len() as u32);
+    for s in dex.strings() {
+        put_str(buf, s);
+    }
+    put_u32(buf, dex.type_ids().len() as u32);
+    for &t in dex.type_ids() {
+        put_u32(buf, t);
+    }
+    put_u32(buf, dex.protos().len() as u32);
+    for p in dex.protos() {
+        put_u32(buf, p.shorty);
+        put_u32(buf, p.return_type);
+        put_u32(buf, p.parameters.len() as u32);
+        for &param in &p.parameters {
+            put_u32(buf, param);
+        }
+    }
+    put_u32(buf, dex.field_ids().len() as u32);
+    for f in dex.field_ids() {
+        put_u32(buf, f.class);
+        put_u32(buf, f.type_);
+        put_u32(buf, f.name);
+    }
+    put_u32(buf, dex.method_ids().len() as u32);
+    for m in dex.method_ids() {
+        put_u32(buf, m.class);
+        put_u32(buf, m.proto);
+        put_u32(buf, m.name);
+    }
+    put_u32(buf, dex.class_defs().len() as u32);
+    for c in dex.class_defs() {
+        put_u32(buf, c.class_idx);
+        put_u32(buf, c.access.bits());
+        put_u32(buf, c.superclass.map_or(u32::MAX, |s| s));
+        put_u32(buf, c.interfaces.len() as u32);
+        for &i in &c.interfaces {
+            put_u32(buf, i);
+        }
+    }
 }
 
 /// Serialises everything verification reads out of one method body.
@@ -335,26 +208,6 @@ fn put_code(buf: &mut Vec<u8>, code: &CodeItem) {
     }
 }
 
-/// Cache key for a whole `verify_dex`-level call: the epoch, the options
-/// fingerprint, and every method body in class-definition order. One
-/// buffer walk and one digest, much cheaper than a per-method key when
-/// nothing changed.
-pub(crate) fn dex_key<'a>(
-    epoch: &[u8; 20],
-    options_fp: &str,
-    bodies: impl Iterator<Item = (u32, bool, &'a CodeItem)>,
-) -> [u8; 20] {
-    let mut buf = Vec::with_capacity(8192);
-    buf.extend_from_slice(epoch);
-    put_str(&mut buf, options_fp);
-    for (method_idx, is_static, code) in bodies {
-        put_u32(&mut buf, method_idx);
-        buf.push(u8::from(is_static));
-        put_code(&mut buf, code);
-    }
-    sha1(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,33 +216,43 @@ mod tests {
         CodeItem::new(2, 0, 0, vec![0x0112, 0x000e])
     }
 
-    #[test]
-    fn method_key_is_stable_and_input_sensitive() {
-        let epoch = [7u8; 20];
-        let code = sample_code();
-        let k1 = method_key(&epoch, 3, true, &code, "fp");
-        assert_eq!(k1, method_key(&epoch, 3, true, &code, "fp"));
-
-        let mut changed = sample_code();
-        changed.insns[0] = 0x0212;
-        assert_ne!(k1, method_key(&epoch, 3, true, &changed, "fp"));
-        assert_ne!(k1, method_key(&epoch, 3, false, &code, "fp"));
-        assert_ne!(k1, method_key(&epoch, 4, true, &code, "fp"));
-        assert_ne!(k1, method_key(&epoch, 3, true, &code, "fp2"));
-        assert_ne!(k1, method_key(&[8u8; 20], 3, true, &code, "fp"));
+    fn key_of(dex: &DexFile, fp: &str, idx: u32, is_static: bool, code: &CodeItem) -> [u8; 20] {
+        key(dex, fp, std::iter::once((idx, is_static, code)))
     }
 
     #[test]
-    fn epoch_reflects_pool_and_version_changes() {
+    fn key_is_stable_and_input_sensitive() {
         let mut dex = DexFile::new();
         dex.intern_type("La;");
-        let e1 = dex_epoch(&dex);
-        assert_eq!(e1, dex_epoch(&dex), "epoch is deterministic");
-        dex.intern_type("Lb;");
-        assert_ne!(e1, dex_epoch(&dex), "pool growth changes the epoch");
-        // The version stamp is folded into the epoch, so a version bump
-        // invalidates every key derived from it.
-        assert!(VERIFIER_VERSION.contains("+vfy."));
+        let code = sample_code();
+        let fp = options_fingerprint(&VerifyOptions::default(), true);
+        let k1 = key_of(&dex, &fp, 3, true, &code);
+        assert_eq!(k1, key_of(&dex, &fp, 3, true, &code), "deterministic");
+
+        let mut changed = sample_code();
+        changed.insns[0] = 0x0212;
+        assert_ne!(k1, key_of(&dex, &fp, 3, true, &changed), "code");
+        assert_ne!(k1, key_of(&dex, &fp, 3, false, &code), "staticness");
+        assert_ne!(k1, key_of(&dex, &fp, 4, true, &code), "method index");
+        let eo = options_fingerprint(&VerifyOptions::errors_only(), true);
+        assert_ne!(k1, key_of(&dex, &eo, 3, true, &code), "options");
+        let no_ir = options_fingerprint(&VerifyOptions::default(), false);
+        assert_ne!(k1, key_of(&dex, &no_ir, 3, true, &code), "want_ir");
+        assert_ne!(
+            k1,
+            key(&dex, &fp, [(3, true, &code), (3, true, &code)].into_iter()),
+            "body count"
+        );
+        let body = std::iter::once((3, true, &code));
+        assert_ne!(
+            k1,
+            key_for_version("dexlego-verifier-0+vfy.0", &dex, &fp, body),
+            "version"
+        );
+
+        let mut grown = dex.clone();
+        grown.intern_type("Lb;");
+        assert_ne!(k1, key_of(&grown, &fp, 3, true, &code), "pools");
     }
 
     #[test]
@@ -398,9 +261,9 @@ mod tests {
         for i in 0..(CAPACITY + 10) {
             let mut key = [0u8; 20];
             key[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            insert(key, Vec::new(), None);
+            insert(key, TypedDex::default());
         }
-        assert!(len() <= CAPACITY);
+        assert!(store().lock().expect("verify cache lock").map.len() <= CAPACITY);
         clear();
     }
 }

@@ -7,19 +7,8 @@
 //! instruction their try range covers (the ART rule: a throw can occur at
 //! any covered instruction). Errors are deduplicated by (rule, pc).
 //!
-//! Two engines produce the same fixpoint:
-//!
-//! * [`Strategy::Fast`] — the production path: the worklist is a priority
-//!   queue ordered by reverse postorder (predecessors usually settle before
-//!   their successors, so blocks converge in far fewer visits), block entry
-//!   states live in one dense slab instead of per-block `Vec`s, each block
-//!   walk reuses a single scratch frame instead of cloning, instruction
-//!   effects fill a reusable buffer instead of allocating, and each
-//!   instruction's exception-handler targets are precomputed once per CFG
-//!   ([`ThrowMap`]) instead of scanning every try range per instruction.
-//! * [`Strategy::Reference`] — the pre-optimization FIFO engine with
-//!   per-visit frame clones and per-range scans, kept as the differential
-//!   baseline (`bench --bin verifier --baseline`, proptests).
+//! The worklist is FIFO; DESIGN.md §16 records why a reverse-postorder
+//! worklist was not kept.
 //!
 //! Diagnostics are emitted only during the post-fixpoint *replay*: the
 //! fixpoint runs muted, then each reached block is replayed once from its
@@ -27,8 +16,8 @@
 //! dense [`FrameSlab`] (what [`crate::typed_ir::TypedIr`] materializes) and
 //! reporting findings against the final states. Because the converged
 //! fixpoint is unique, the diagnostics are a function of the method alone —
-//! independent of worklist order, engine, and (for whole-DEX runs) of how
-//! many threads verified sibling methods.
+//! independent of worklist order and (for whole-DEX runs) of how many
+//! threads verified sibling methods.
 //!
 //! With DEX context ([`TypeCtx::dex`]), reference writes are refined to the
 //! descriptor the instruction actually produces (`new-instance`,
@@ -38,8 +27,7 @@
 //! provably-incompatible `aput-object` (L0005). All typed checks fire only
 //! on *provable* breakage — see [`ClassHierarchy::provably_disjoint`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use dexlego_dalvik::insn::{Decoded, Insn};
 use dexlego_dalvik::Opcode;
@@ -52,18 +40,6 @@ use crate::effects::{effects_into, Effects, Need, Write};
 use crate::hierarchy::{ClassHierarchy, TypeId};
 use crate::typestate::{join_frames, RegType};
 use crate::ParamKind;
-
-/// Which fixpoint engine verifies a method. Both produce identical
-/// diagnostics and frames (enforced by the differential proptests); the
-/// reference engine exists as the measured baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum Strategy {
-    /// RPO priority worklist, dense state slabs, reusable scratch frame.
-    #[default]
-    Fast,
-    /// FIFO worklist with per-visit clones — the pre-optimization engine.
-    Reference,
-}
 
 /// Fixpoint pre-state of every real instruction, stored as one dense slab
 /// of `regs` lattice values per instruction, indexed like [`Cfg::insns`].
@@ -100,52 +76,6 @@ impl FrameSlab {
 
 /// Alias kept for readability at use sites.
 pub(crate) type Frames = FrameSlab;
-
-/// Block entry states as one dense slab (the fast path's replacement for
-/// `Vec<Option<Vec<RegType>>>`).
-struct BlockStates {
-    regs: usize,
-    present: Vec<bool>,
-    data: Vec<RegType>,
-}
-
-impl BlockStates {
-    fn new(n: usize, regs: usize) -> BlockStates {
-        BlockStates {
-            regs,
-            present: vec![false; n],
-            data: vec![RegType::Uninit; n * regs],
-        }
-    }
-
-    fn get(&self, b: usize) -> Option<&[RegType]> {
-        if self.present[b] {
-            Some(&self.data[b * self.regs..(b + 1) * self.regs])
-        } else {
-            None
-        }
-    }
-
-    fn set(&mut self, b: usize, frame: &[RegType]) {
-        self.present[b] = true;
-        self.data[b * self.regs..(b + 1) * self.regs].copy_from_slice(frame);
-    }
-
-    /// Joins `frame` into block `b`'s entry state in place; returns whether
-    /// the state changed (i.e. the block needs requeueing).
-    fn merge(&mut self, b: usize, frame: &[RegType], hier: &ClassHierarchy) -> bool {
-        if self.present[b] {
-            join_frames(
-                &mut self.data[b * self.regs..(b + 1) * self.regs],
-                frame,
-                hier,
-            )
-        } else {
-            self.set(b, frame);
-            true
-        }
-    }
-}
 
 /// Typed verification context: the hierarchy is always present (possibly
 /// empty); the DEX pools and declared return type only when verifying with
@@ -224,7 +154,6 @@ pub(crate) fn run(
     params: &[ParamKind],
     tcx: &TypeCtx<'_>,
     out: &mut Vec<Diagnostic>,
-    strategy: Strategy,
 ) -> Frames {
     let regs = code.registers_size as usize;
     let ins = code.ins_size as usize;
@@ -249,10 +178,7 @@ pub(crate) fn run(
     }
 
     ctx.mute = true;
-    let in_states = match strategy {
-        Strategy::Fast => fixpoint_fast(cfg, code, &entry, tcx, &mut ctx),
-        Strategy::Reference => fixpoint_reference(cfg, code, &entry, tcx, &mut ctx),
-    };
+    let in_states = fixpoint(cfg, code, &entry, tcx, &mut ctx);
     ctx.mute = false;
 
     // Replay each reached block once from its converged entry frame: this
@@ -261,7 +187,7 @@ pub(crate) fn run(
     let mut scratch: Vec<RegType> = Vec::with_capacity(regs);
     let mut eff = Effects::default();
     for (bid, block) in cfg.blocks().iter().enumerate() {
-        let Some(state) = in_states.get(bid) else {
+        let Some(state) = &in_states[bid] else {
             continue;
         };
         scratch.clear();
@@ -287,83 +213,15 @@ pub(crate) fn run(
     frames
 }
 
-/// The fast engine: reverse-postorder priority worklist over dense block
-/// states, one reusable scratch frame, precomputed handler targets.
-fn fixpoint_fast(
+/// The muted fixpoint: a FIFO worklist over per-block entry frames.
+/// Returns each block's converged entry frame (`None` if unreached).
+fn fixpoint(
     cfg: &Cfg,
     code: &CodeItem,
     entry: &[RegType],
     tcx: &TypeCtx<'_>,
     ctx: &mut Ctx,
-) -> BlockStates {
-    let nblocks = cfg.blocks().len();
-    let mut states = BlockStates::new(nblocks, entry.len());
-    states.set(0, entry);
-
-    let rpo = rpo_positions(cfg);
-    let throw = ThrowMap::build(cfg, code);
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-    let mut queued = vec![false; nblocks];
-    heap.push(Reverse((rpo[0], 0)));
-    queued[0] = true;
-
-    let mut scratch: Vec<RegType> = Vec::with_capacity(entry.len());
-    let mut eff = Effects::default();
-    while let Some(Reverse((_, bid))) = heap.pop() {
-        queued[bid] = false;
-        scratch.clear();
-        match states.get(bid) {
-            Some(state) => scratch.extend_from_slice(state),
-            None => continue,
-        }
-        let block = &cfg.blocks()[bid];
-        for &i in &block.insns {
-            let (pc, d) = &cfg.insns()[i];
-            let Decoded::Insn(insn) = d else { continue };
-            // A throwing instruction in a try range transfers the
-            // *pre*-state of that instruction to its handlers (the ART
-            // rule); `throw` already folded the range lookup away.
-            for &hb in throw.targets(i) {
-                if states.merge(hb, &scratch, tcx.hier) && !queued[hb] {
-                    queued[hb] = true;
-                    heap.push(Reverse((rpo[hb], hb)));
-                }
-            }
-            transfer(
-                insn,
-                *pc,
-                prev_insn(cfg, i),
-                &mut scratch,
-                ctx,
-                tcx,
-                &mut eff,
-            );
-        }
-        for edge in &block.succs {
-            if edge.kind == EdgeKind::Exception {
-                continue;
-            }
-            let t = edge.target;
-            if states.merge(t, &scratch, tcx.hier) && !queued[t] {
-                queued[t] = true;
-                heap.push(Reverse((rpo[t], t)));
-            }
-        }
-    }
-    states
-}
-
-/// The pre-optimization engine, kept verbatim as the measured and
-/// differential baseline: FIFO worklist, per-visit entry-frame clone,
-/// per-instruction scan over every try range, per-instruction effects
-/// allocation, per-merge `to_vec`.
-fn fixpoint_reference(
-    cfg: &Cfg,
-    code: &CodeItem,
-    entry: &[RegType],
-    tcx: &TypeCtx<'_>,
-    ctx: &mut Ctx,
-) -> BlockStates {
+) -> Vec<Option<Vec<RegType>>> {
     let nblocks = cfg.blocks().len();
     let mut in_states: Vec<Option<Vec<RegType>>> = vec![None; nblocks];
     in_states[0] = Some(entry.to_vec());
@@ -374,6 +232,7 @@ fn fixpoint_reference(
     // try range -> handler block ids, resolved once.
     let handler_edges: Vec<(u32, u32, Vec<usize>)> = handler_ranges(cfg, code);
 
+    let mut eff = Effects::default();
     while let Some(bid) = worklist.pop_front() {
         queued[bid] = false;
         let Some(mut frame) = in_states[bid].clone() else {
@@ -397,7 +256,6 @@ fn fixpoint_reference(
                     }
                 }
             }
-            let mut eff = Effects::default();
             transfer(insn, *pc, prev_insn(cfg, i), &mut frame, ctx, tcx, &mut eff);
         }
         for edge in &block.succs {
@@ -414,99 +272,7 @@ fn fixpoint_reference(
             );
         }
     }
-
-    let mut states = BlockStates::new(nblocks, entry.len());
-    for (b, s) in in_states.iter().enumerate() {
-        if let Some(s) = s {
-            states.set(b, s);
-        }
-    }
-    states
-}
-
-/// Reverse-postorder position of every block (DFS from block 0 over all
-/// edge kinds). Blocks unreachable from the entry — which the fixpoint
-/// never queues — get stable positions after every reachable one.
-fn rpo_positions(cfg: &Cfg) -> Vec<u32> {
-    let n = cfg.blocks().len();
-    let mut pos = vec![u32::MAX; n];
-    if n == 0 {
-        return pos;
-    }
-    let mut visited = vec![false; n];
-    let mut post: Vec<usize> = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    visited[0] = true;
-    while let Some(&(b, next)) = stack.last() {
-        let succs = &cfg.blocks()[b].succs;
-        if next < succs.len() {
-            stack.last_mut().expect("stack non-empty").1 += 1;
-            let t = succs[next].target;
-            if !visited[t] {
-                visited[t] = true;
-                stack.push((t, 0));
-            }
-        } else {
-            post.push(b);
-            stack.pop();
-        }
-    }
-    for (i, &b) in post.iter().rev().enumerate() {
-        pos[b] = i as u32;
-    }
-    let mut fill = post.len() as u32;
-    for p in pos.iter_mut() {
-        if *p == u32::MAX {
-            *p = fill;
-            fill += 1;
-        }
-    }
-    pos
-}
-
-/// Per-instruction exception-handler targets, flattened once per CFG: a
-/// `(start, len)` span per instruction index into one shared target list.
-/// Only throwing instructions inside a try range get a non-empty span, so
-/// the fixpoint's inner loop replaces the scan over every try range with
-/// one slice lookup.
-struct ThrowMap {
-    spans: Vec<(u32, u32)>,
-    targets: Vec<usize>,
-}
-
-impl ThrowMap {
-    fn build(cfg: &Cfg, code: &CodeItem) -> ThrowMap {
-        let mut spans = vec![(0u32, 0u32); cfg.insns().len()];
-        let mut targets = Vec::new();
-        if !code.tries.is_empty() {
-            let ranges = handler_ranges(cfg, code);
-            for (i, (pc, d)) in cfg.insns().iter().enumerate() {
-                let Decoded::Insn(insn) = d else { continue };
-                if !insn.op.can_throw() {
-                    continue;
-                }
-                let start = targets.len();
-                for (lo, hi, blocks) in &ranges {
-                    if *pc >= *lo && *pc < *hi {
-                        for &hb in blocks {
-                            // Merging is idempotent; deduplicate so each
-                            // handler is merged once per instruction.
-                            if !targets[start..].contains(&hb) {
-                                targets.push(hb);
-                            }
-                        }
-                    }
-                }
-                spans[i] = (start as u32, (targets.len() - start) as u32);
-            }
-        }
-        ThrowMap { spans, targets }
-    }
-
-    fn targets(&self, i: usize) -> &[usize] {
-        let (start, len) = self.spans[i];
-        &self.targets[start as usize..(start + len) as usize]
-    }
+    in_states
 }
 
 /// The real instruction immediately preceding instruction `i` in code

@@ -67,19 +67,12 @@ pub use hierarchy::{ClassHierarchy, TypeId};
 pub use typed_ir::{TypedInsn, TypedIr};
 pub use typestate::RegType;
 
-use dataflow::{Strategy, TypeCtx};
+use dataflow::TypeCtx;
 
 /// Empties the process-level verify cache (benches and tests; production
-/// callers never need this — version and epoch digests handle
-/// invalidation).
+/// callers never need this — the key digests the version, pools and code).
 pub fn clear_verify_cache() {
     cache::clear();
-}
-
-/// Number of method results currently held by the process-level verify
-/// cache.
-pub fn verify_cache_len() -> usize {
-    cache::len()
 }
 
 /// Category of one declared method parameter, as seen by the register
@@ -130,21 +123,20 @@ pub fn param_kinds<S: AsRef<str>>(is_static: bool, params: &[S]) -> Vec<ParamKin
     kinds
 }
 
-/// Verification options: lint enablement, per-rule suppression, and the
-/// execution knobs of the fast path (engine, cache, worker count).
+/// Verification options: lint enablement, per-rule suppression, and two
+/// execution knobs (verify cache, worker count).
 ///
-/// Defaults are the production configuration: the fast fixpoint engine,
-/// the process-level verify cache enabled, and the worker count resolved
-/// from `DEXLEGO_WORKERS`/available parallelism. Both engines and the
-/// cached/uncached paths produce identical diagnostics and IR (enforced by
-/// the differential proptests), so these knobs trade speed, never results.
+/// Defaults are the production configuration: the process-level verify
+/// cache enabled and the worker count resolved from
+/// `DEXLEGO_WORKERS`/available parallelism. Cached and uncached runs, and
+/// runs on any worker count, produce identical diagnostics and IR
+/// (enforced by the verify-cache tests), so these knobs trade speed,
+/// never results.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
     /// Skip the lint pass entirely (errors only).
     pub errors_only: bool,
     allowed: HashSet<String>,
-    /// Use the pre-optimization FIFO engine (the measured baseline).
-    reference: bool,
     /// Bypass the process-level verify cache.
     no_cache: bool,
     /// Explicit worker count for whole-DEX verification; `None` resolves
@@ -166,15 +158,6 @@ impl VerifyOptions {
     /// rule — use with care.
     pub fn allow(mut self, code: &str) -> VerifyOptions {
         self.allowed.insert(code.to_owned());
-        self
-    }
-
-    /// Selects the pre-optimization sequential engine: FIFO worklist,
-    /// per-visit frame clones, no parallelism. This is the `--baseline`
-    /// measured by `bench --bin verifier` and the reference side of the
-    /// differential proptests.
-    pub fn sequential_reference(mut self) -> VerifyOptions {
-        self.reference = true;
         self
     }
 
@@ -250,12 +233,7 @@ fn verify_method_with(
             } else {
                 params
             };
-            let strategy = if options.reference {
-                Strategy::Reference
-            } else {
-                Strategy::Fast
-            };
-            let frames = dataflow::run(&cfg, code, params, tcx, &mut diags, strategy);
+            let frames = dataflow::run(&cfg, code, params, tcx, &mut diags);
             if !options.errors_only {
                 lint::run(&cfg, &mut diags);
             }
@@ -293,7 +271,7 @@ pub fn verify_dex(dex: &DexFile, options: &VerifyOptions) -> Vec<Diagnostic> {
 #[derive(Debug, Clone, Default)]
 pub struct TypedDex {
     /// The interned class hierarchy of the DEX, shared (`Arc`) with the
-    /// epoch-keyed hierarchy cache.
+    /// verify-cache entry that holds this result.
     pub hierarchy: Arc<ClassHierarchy>,
     /// Typed IR for every method body, in class-definition order. Shared
     /// (`Arc`) because a verify-cache hit hands out the cached IR without
@@ -301,9 +279,9 @@ pub struct TypedDex {
     pub methods: Vec<Arc<TypedIr>>,
     /// All diagnostics, as from [`verify_dex`].
     pub diagnostics: Vec<Diagnostic>,
-    /// Method results served from the process-level verify cache.
+    /// Method bodies served from the process-level verify cache.
     pub cache_hits: u64,
-    /// Method results verified from scratch in this call.
+    /// Method bodies verified from scratch in this call.
     pub cache_misses: u64,
 }
 
@@ -331,18 +309,6 @@ struct WorkItem<'a> {
 }
 
 fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> TypedDex {
-    // One epoch digest per call covers every per-method cache key and the
-    // hierarchy cache; skip the pool walk entirely when the cache is
-    // bypassed.
-    let epoch = if options.no_cache {
-        None
-    } else {
-        Some(cache::dex_epoch(dex))
-    };
-    let hierarchy = match &epoch {
-        Some(e) => cache::hierarchy_for(e, dex),
-        None => Arc::new(ClassHierarchy::from_dex(dex)),
-    };
     let mut work: Vec<WorkItem<'_>> = Vec::new();
     for class in dex.class_defs() {
         let Some(data) = &class.class_data else {
@@ -358,46 +324,25 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
         }
     }
 
-    let options_fp = cache::options_fingerprint(options, want_ir);
-
-    // Whole-DEX fast path: one digest over every method body answers an
-    // unchanged re-verification (the pipeline gate plus downstream taint
-    // tools verifying the same revealed DEX) with a single lookup.
-    let dex_key = epoch.as_ref().map(|e| {
-        cache::dex_key(
-            e,
-            &options_fp,
+    // One digest over the pools and every method body answers an unchanged
+    // re-verification (the pipeline gate plus downstream taint tools
+    // verifying the same revealed DEX) with a single lookup.
+    let key = (!options.no_cache).then(|| {
+        cache::key(
+            dex,
+            &cache::options_fingerprint(options, want_ir),
             work.iter()
                 .map(|w| (w.method_idx, w.access.contains(AccessFlags::STATIC), w.code)),
         )
     });
-    if let Some(key) = &dex_key {
-        if let Some(hit) = cache::dex_lookup(key) {
-            return TypedDex {
-                hierarchy,
-                methods: hit.methods.clone(),
-                diagnostics: hit.diags.clone(),
-                cache_hits: hit.body_count,
-                cache_misses: 0,
-            };
-        }
+    if let Some(hit) = key.as_ref().and_then(cache::lookup) {
+        let mut typed = TypedDex::clone(&hit);
+        typed.cache_hits = std::mem::take(&mut typed.cache_misses);
+        return typed;
     }
 
-    // Verifies one method: cache lookup, else the full CFG + fixpoint.
-    // Returns (diagnostics, stamped shared IR, cache hit?). A hit pays no
-    // signature construction and no IR clone: the key pins the method by
-    // pool index, and the stored IR is already identity-stamped (valid
-    // verbatim because an equal epoch means equal pools).
-    let run_one = |w: &WorkItem<'_>| -> (Vec<Diagnostic>, Option<Arc<TypedIr>>, bool) {
-        let is_static = w.access.contains(AccessFlags::STATIC);
-        let key = epoch
-            .as_ref()
-            .map(|e| cache::method_key(e, w.method_idx, is_static, w.code, &options_fp));
-        if let Some(key) = &key {
-            if let Some(hit) = cache::lookup(key) {
-                return (hit.diags.clone(), hit.ir.clone(), true);
-            }
-        }
+    let hierarchy = Arc::new(ClassHierarchy::from_dex(dex));
+    let run_one = |w: &WorkItem<'_>| -> (Vec<Diagnostic>, Option<TypedIr>) {
         let sig = dex
             .method_signature(w.method_idx)
             .unwrap_or_else(|_| format!("<method#{}>", w.method_idx));
@@ -417,12 +362,9 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
                 ir.class = dex.type_descriptor(m.class).unwrap_or_default().to_owned();
                 ir.name = dex.string(m.name).unwrap_or_default().to_owned();
             }
-            Arc::new(ir)
+            ir
         });
-        if let Some(key) = key {
-            cache::insert(key, diags.clone(), ir.clone());
-        }
-        (diags, ir, false)
+        (diags, ir)
     };
 
     // Methods are independent and the hierarchy is read-only after
@@ -432,37 +374,26 @@ fn verify_dex_inner(dex: &DexFile, options: &VerifyOptions, want_ir: bool) -> Ty
     // count (each method's diagnostics are already sorted; methods stay in
     // class-definition order).
     let workers = dexlego_pool::resolve_workers(options.workers).min(work.len().max(1));
-    let results: Vec<(Vec<Diagnostic>, Option<Arc<TypedIr>>, bool)> =
-        if workers > 1 && !options.reference && work.len() >= PARALLEL_THRESHOLD {
+    let results: Vec<(Vec<Diagnostic>, Option<TypedIr>)> =
+        if workers > 1 && work.len() >= PARALLEL_THRESHOLD {
             let refs: Vec<&WorkItem<'_>> = work.iter().collect();
             dexlego_pool::parallel_map_expect(refs, workers, run_one)
         } else {
             work.iter().map(run_one).collect()
         };
 
-    let mut out = TypedDex::default();
-    for (diags, ir, hit) in results {
-        if hit {
-            out.cache_hits += 1;
-        } else {
-            out.cache_misses += 1;
-        }
+    let mut out = TypedDex {
+        hierarchy,
+        cache_misses: work.len() as u64,
+        ..TypedDex::default()
+    };
+    for (diags, ir) in results {
         out.diagnostics.extend(diags);
-        if let Some(ir) = ir {
-            out.methods.push(ir);
-        }
+        out.methods.extend(ir.map(Arc::new));
     }
-    if let Some(key) = dex_key {
-        cache::dex_insert(
-            key,
-            cache::DexEntry {
-                diags: out.diagnostics.clone(),
-                methods: out.methods.clone(),
-                body_count: work.len() as u64,
-            },
-        );
+    if let Some(key) = key {
+        cache::insert(key, out.clone());
     }
-    out.hierarchy = hierarchy;
     out
 }
 

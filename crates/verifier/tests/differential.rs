@@ -1,24 +1,24 @@
-//! Differential property tests: the fast fixpoint engine (RPO priority
-//! worklist, slab frames, precomputed handler targets) must emit
-//! *byte-identical* diagnostics to the reference FIFO engine on arbitrary
-//! code — valid, invalid, or garbage. Diagnostics are reported only during
-//! the replay over converged frames, and the fixpoint computes the unique
-//! least fixpoint of a monotone transfer regardless of visit order, so any
-//! divergence is a bug in one of the engines.
+//! Property tests of the fixpoint engine on arbitrary code — valid,
+//! invalid, or garbage: verification always returns (no panic, no hang)
+//! with diagnostics sorted by pc, and an errors-only run reports exactly
+//! the error-severity subset of a full run. The lint pass, which
+//! errors-only skips, adds only warnings, and findings are deduplicated
+//! per (rule, pc), so skipping it cannot change which errors are found.
 
 use dexlego_dex::{CodeItem, EncodedCatchHandler, TryItem};
-use dexlego_verifier::{verify_method, VerifyOptions};
+use dexlego_verifier::{verify_method, Diagnostic, VerifyOptions};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn fast() -> VerifyOptions {
-    VerifyOptions::default().without_cache()
+fn full(code: &CodeItem) -> Vec<Diagnostic> {
+    verify_method("La;->m()V", code, &[], &VerifyOptions::default())
 }
 
-fn reference() -> VerifyOptions {
-    VerifyOptions::default()
-        .sequential_reference()
-        .without_cache()
+/// Diagnostics come out ordered by pc, then rule.
+fn sorted(diags: &[Diagnostic]) -> bool {
+    diags
+        .windows(2)
+        .all(|w| (w[0].dex_pc, w[0].rule) <= (w[1].dex_pc, w[1].rule))
 }
 
 /// One plausible instruction word: biased toward real one-unit opcodes so
@@ -38,7 +38,7 @@ fn unit() -> impl Strategy<Value = u16> {
 
 proptest! {
     #[test]
-    fn engines_agree_on_random_code(
+    fn verifies_random_code(
         units in vec(unit(), 1..48),
         regs in 1u16..10,
         ins in 0u16..4,
@@ -46,13 +46,11 @@ proptest! {
         let mut insns = units;
         insns.push(0x000e); // return-void backstop
         let code = CodeItem::new(regs.max(ins + 1), ins.min(regs), 0, insns);
-        let fast = verify_method("La;->m()V", &code, &[], &fast());
-        let slow = verify_method("La;->m()V", &code, &[], &reference());
-        prop_assert_eq!(fast, slow);
+        prop_assert!(sorted(&full(&code)));
     }
 
     #[test]
-    fn engines_agree_with_exception_handlers(
+    fn verifies_random_code_with_exception_handlers(
         units in vec(unit(), 1..40),
         regs in 1u16..10,
         first in (0u32..16, 1u16..12, 0u32..24),
@@ -84,27 +82,23 @@ proptest! {
                 catch_all_addr: Some(a2),
             });
         }
-        let fast = verify_method("La;->m()V", &code, &[], &fast());
-        let slow = verify_method("La;->m()V", &code, &[], &reference());
-        prop_assert_eq!(fast, slow);
+        prop_assert!(sorted(&full(&code)));
     }
 
     #[test]
-    fn engines_agree_under_errors_only(
+    fn errors_only_is_the_error_subset_of_a_full_run(
         units in vec(unit(), 1..40),
         regs in 1u16..8,
     ) {
         let mut insns = units;
         insns.push(0x000e);
         let code = CodeItem::new(regs, 0, 0, insns);
-        let fast = verify_method(
+        let errors = verify_method(
             "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only().without_cache(),
+            &VerifyOptions::errors_only(),
         );
-        let slow = verify_method(
-            "La;->m()V", &code, &[],
-            &VerifyOptions::errors_only().sequential_reference().without_cache(),
-        );
-        prop_assert_eq!(fast, slow);
+        let mut filtered = full(&code);
+        filtered.retain(Diagnostic::is_error);
+        prop_assert_eq!(errors, filtered);
     }
 }

@@ -1,14 +1,12 @@
-//! Verification fast-path integration tests: the parallel fast engine
-//! must match the sequential reference byte-for-byte over whole DEX
-//! files, and the digest-keyed verify cache must reproduce fresh results
-//! exactly, invalidate when code changes, and report hit/miss counters.
+//! Whole-DEX verification integration tests: parallel verification must
+//! match sequential verification byte-for-byte, and the digest-keyed
+//! verify cache must reproduce fresh results exactly, invalidate when code
+//! changes, and report hit/miss counters.
 
 use std::sync::Mutex;
 
 use dexlego_suite::droidbench::appgen::corpus_apps;
-use dexlego_suite::verifier::{
-    clear_verify_cache, verify_cache_len, verify_dex_typed, TypedDex, VerifyOptions,
-};
+use dexlego_suite::verifier::{clear_verify_cache, verify_dex_typed, TypedDex, VerifyOptions};
 
 /// The verify cache is process-global; these tests serialize on it so one
 /// test's `clear_verify_cache` cannot race another's warm pass.
@@ -42,20 +40,19 @@ fn fingerprint(typed: &TypedDex, dex: &dexlego_suite::dex::DexFile) -> Vec<Strin
     out
 }
 
-/// The fast engine (RPO worklist, slab frames, parallel workers) must
-/// produce the identical diagnostics and typed IR as the sequential
-/// reference engine over complete generated apps.
+/// Verifying method bodies on four workers must produce the identical
+/// diagnostics and typed IR as verifying them on one, over complete
+/// generated apps (each has more bodies than the parallel threshold).
 #[test]
-fn fast_engine_matches_reference_on_whole_dex() {
-    let fast_opts = VerifyOptions::default().with_workers(4).without_cache();
-    let reference_opts = VerifyOptions::default()
-        .sequential_reference()
-        .without_cache();
-    for dex in corpus(6, 120) {
-        let fast = verify_dex_typed(&dex, &fast_opts);
-        let reference = verify_dex_typed(&dex, &reference_opts);
-        assert_eq!(fast.diagnostics, reference.diagnostics);
-        assert_eq!(fingerprint(&fast, &dex), fingerprint(&reference, &dex));
+fn parallel_verify_matches_sequential_on_whole_dex() {
+    let parallel_opts = VerifyOptions::default().with_workers(4).without_cache();
+    let sequential_opts = VerifyOptions::default().with_workers(1).without_cache();
+    for dex in corpus(6, 640) {
+        let parallel = verify_dex_typed(&dex, &parallel_opts);
+        let sequential = verify_dex_typed(&dex, &sequential_opts);
+        assert!(parallel.methods.len() >= 16, "too few bodies to fan out");
+        assert_eq!(parallel.diagnostics, sequential.diagnostics);
+        assert_eq!(fingerprint(&parallel, &dex), fingerprint(&sequential, &dex));
     }
 }
 
@@ -113,16 +110,24 @@ fn cache_invalidates_when_code_changes() {
     assert_eq!(fingerprint(&after, &dex), fingerprint(&fresh, &dex));
 }
 
-/// `clear_verify_cache` empties the store and `verify_cache_len` tracks
-/// population.
+/// `clear_verify_cache` empties the store: a pass after it verifies every
+/// body fresh again, as the very first pass did.
 #[test]
 fn clear_resets_cache_population() {
     let _guard = CACHE_LOCK.lock().unwrap();
-    clear_verify_cache();
-    assert_eq!(verify_cache_len(), 0);
+    let opts = VerifyOptions::default();
     let dex = corpus(1, 80).pop().unwrap();
-    verify_dex_typed(&dex, &VerifyOptions::default());
-    assert!(verify_cache_len() > 0, "verification populates the cache");
     clear_verify_cache();
-    assert_eq!(verify_cache_len(), 0);
+    let first = verify_dex_typed(&dex, &opts);
+    assert_eq!(first.cache_hits, 0, "an empty cache cannot hit");
+    assert!(first.cache_misses > 0);
+    let warm = verify_dex_typed(&dex, &opts);
+    assert_eq!(
+        warm.cache_hits, first.cache_misses,
+        "verification populates the cache"
+    );
+    clear_verify_cache();
+    let cleared = verify_dex_typed(&dex, &opts);
+    assert_eq!(cleared.cache_hits, 0, "clear empties the cache");
+    assert_eq!(cleared.cache_misses, first.cache_misses);
 }

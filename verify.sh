@@ -16,7 +16,7 @@ cargo build --release --workspace
 # this script, not only the benchmark pipeline.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 cargo run -p dexlego-harness --bin harness-smoke --release -- \
     --workers 2 --apps 2 --packers all
@@ -29,11 +29,12 @@ cargo run -p dexlego-bench --bin interp --release -- --smoke
 # than per-step decoding either (prints the speedup ratios).
 cargo run -p dexlego-bench --bin interp --release -- --quick-smoke
 
-# Verifier fast-path smoke: the fast engine must match the reference
-# engine's diagnostics exactly, a warm cache pass must not be slower
-# than a cold one, hits must occur, and the repeated-verification
-# corpus workload must beat the reference engine. The taint gate below
-# then exercises analysis on the cached verification path.
+# Verifier cache smoke: cold and warm cached passes must reproduce the
+# uncached typed result exactly (diagnostics, hierarchy and IR), a warm
+# pass must not be slower than a cold one, hits must occur, and the
+# repeated-verification corpus workload must beat uncached verification
+# by 1.2x. The taint gate below then exercises analysis on the cached
+# verification path.
 cargo run -p dexlego-bench --bin verifier --release -- --smoke
 
 # Service load smoke: concurrent pipelined connections against a live
